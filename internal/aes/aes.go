@@ -5,23 +5,40 @@
 // required), and MixColumns/InvMixColumns are inner products in
 // GF(2^8)/x^8+x^4+x^3+x+1.
 //
-// The implementation is validated against the standard library crypto/aes
-// and the FIPS-197 vectors in the tests. It is a reference/teaching
-// implementation of the paper's datapath, not a constant-time production
-// cipher.
+// Encrypt, the block function behind CTR and GCM, runs on four
+// big-endian column words: SubBytes+ShiftRows are 16 lookups in the
+// 256-byte S-box and MixColumns is 4-lane SWAR xtime, the software image
+// of the paper's 4-way SIMD GF multiply. The exported round functions
+// (SubBytes, ShiftRows, MixColumns, AddRoundKey on State) stay the
+// byte-wise reference that internal/kernels meters and the tests compose
+// into the expected Encrypt output; Decrypt still runs them directly.
+//
+// Timing: the implementation is validated against the standard library
+// crypto/aes and the FIPS-197 vectors in the tests, but it is not
+// constant time. Encrypt looks up the 256-byte S-box with secret state
+// bytes, and GHASH (gcm.go) looks up a 256-byte per-key table (the 16
+// multiples of H) with nibbles of its running state; a cache-timing
+// observer can learn from either. That is the same class as the
+// byte-wise round functions (the S-box and the 256-byte MixColumns
+// coefficient rows), and no table indexed by secret state is larger:
+// there are no 1-4 KB T-tables. Treat the package as a reference
+// of the paper's datapath, not a hardened production cipher.
 //
 // Concurrency: a *Cipher is immutable once NewCipher has expanded the
 // key schedule, and a *GCM is immutable once NewGCM has derived the
-// GHASH subkey; Encrypt, Decrypt, Seal and Open keep all per-call state
-// in locals (the package-level sbox tables are written only at init).
-// One shared instance may therefore be used from many goroutines
-// concurrently, as the repro/internal/pipeline worker pools do; the
-// CTR/CBC helpers in modes.go take the IV per call and are equally safe
-// as long as callers pass distinct dst buffers.
+// GHASH subkey and its table; Encrypt, Decrypt, Seal, Open and their
+// To forms keep all per-call state in locals (the package-level sbox
+// tables are written only at init). One shared instance may therefore
+// be used from many goroutines concurrently, as the
+// repro/internal/pipeline worker pools do; the CTR/CBC helpers in
+// modes.go take the IV per call and are equally safe as long as callers
+// pass distinct dst buffers.
 package aes
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/gf"
 )
@@ -93,6 +110,7 @@ func invAffine(b byte) byte {
 type Cipher struct {
 	rounds int      // 10, 12 or 14
 	enc    [][]byte // rounds+1 round keys of 16 bytes, encryption order
+	encW   []uint32 // the same keys as big-endian column words, 4 per round
 }
 
 // NewCipher creates an AES cipher for a 16-, 24- or 32-byte key.
@@ -110,6 +128,12 @@ func NewCipher(key []byte) (*Cipher, error) {
 	}
 	c := &Cipher{rounds: rounds}
 	c.enc = expandKey(key, rounds)
+	c.encW = make([]uint32, 0, 4*(rounds+1))
+	for _, rk := range c.enc {
+		for col := 0; col < 16; col += 4 {
+			c.encW = append(c.encW, binary.BigEndian.Uint32(rk[col:]))
+		}
+	}
 	return c, nil
 }
 
@@ -312,22 +336,66 @@ func mixWithGF(s *State, coeff [4]byte) {
 
 // Encrypt encrypts one 16-byte block: dst = AES(src). dst and src may
 // overlap. It panics on short slices like crypto/cipher.Block does.
+//
+// The state is four big-endian column words (row 0 in the top byte), so
+// a round is: SubBytes+ShiftRows as 16 S-box lookups that gather each
+// output column from the diagonal of the input, MixColumns as 4-lane
+// SWAR arithmetic per column (mixColumn), AddRoundKey as four word XORs
+// with the keys NewCipher packed. It equals the composition of the
+// exported round functions (the tests check it against that and against
+// crypto/aes).
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: short block")
 	}
-	s := LoadState(src[:16])
-	AddRoundKey(&s, c.enc[0])
+	rk := c.encW
+	s0 := binary.BigEndian.Uint32(src[0:4]) ^ rk[0]
+	s1 := binary.BigEndian.Uint32(src[4:8]) ^ rk[1]
+	s2 := binary.BigEndian.Uint32(src[8:12]) ^ rk[2]
+	s3 := binary.BigEndian.Uint32(src[12:16]) ^ rk[3]
 	for r := 1; r < c.rounds; r++ {
-		SubBytes(&s)
-		ShiftRows(&s)
-		MixColumns(&s)
-		AddRoundKey(&s, c.enc[r])
+		t0, t1, t2, t3 := subShift(s0, s1, s2, s3)
+		k := rk[4*r : 4*r+4]
+		s0 = mixColumn(t0) ^ k[0]
+		s1 = mixColumn(t1) ^ k[1]
+		s2 = mixColumn(t2) ^ k[2]
+		s3 = mixColumn(t3) ^ k[3]
 	}
-	SubBytes(&s)
-	ShiftRows(&s)
-	AddRoundKey(&s, c.enc[c.rounds])
-	copy(dst, s.Bytes())
+	t0, t1, t2, t3 := subShift(s0, s1, s2, s3)
+	k := rk[4*c.rounds : 4*c.rounds+4]
+	binary.BigEndian.PutUint32(dst[0:4], t0^k[0])
+	binary.BigEndian.PutUint32(dst[4:8], t1^k[1])
+	binary.BigEndian.PutUint32(dst[8:12], t2^k[2])
+	binary.BigEndian.PutUint32(dst[12:16], t3^k[3])
+}
+
+// subShift is SubBytes followed by ShiftRows on column words: row r of
+// output column j is the S-box of row r of input column (j+r) mod 4.
+func subShift(s0, s1, s2, s3 uint32) (t0, t1, t2, t3 uint32) {
+	t0 = uint32(sbox[s0>>24])<<24 | uint32(sbox[s1>>16&0xff])<<16 | uint32(sbox[s2>>8&0xff])<<8 | uint32(sbox[s3&0xff])
+	t1 = uint32(sbox[s1>>24])<<24 | uint32(sbox[s2>>16&0xff])<<16 | uint32(sbox[s3>>8&0xff])<<8 | uint32(sbox[s0&0xff])
+	t2 = uint32(sbox[s2>>24])<<24 | uint32(sbox[s3>>16&0xff])<<16 | uint32(sbox[s0>>8&0xff])<<8 | uint32(sbox[s1&0xff])
+	t3 = uint32(sbox[s3>>24])<<24 | uint32(sbox[s0>>16&0xff])<<16 | uint32(sbox[s1>>8&0xff])<<8 | uint32(sbox[s2&0xff])
+	return
+}
+
+// xtime4 doubles the four bytes of w in the AES field at once: each
+// lane shifts left by one and, where its top bit fell out, takes the
+// 0x1B reduction. Branch-free and table-free — 4-lane SWAR xtime.
+func xtime4(w uint32) uint32 {
+	return (w&0x7f7f7f7f)<<1 ^ (w>>7&0x01010101)*0x1b
+}
+
+// mixColumn multiplies the column word a = (a0,a1,a2,a3) by the
+// circulant MixColumns matrix {02,03,01,01}. Row i is
+// 2a_i ^ 3a_i+1 ^ a_i+2 ^ a_i+3 = 2(a_i ^ a_i+1) ^ a_i+1 ^ a_i+2 ^ a_i+3
+// (indices mod 4). With r = a rotated one byte (a1,a2,a3,a0) and
+// t = a ^ r that is xtime4(t) ^ r ^ (t rotated two bytes): one SWAR
+// doubling serves all four rows.
+func mixColumn(a uint32) uint32 {
+	r := bits.RotateLeft32(a, 8)
+	t := a ^ r
+	return xtime4(t) ^ r ^ bits.RotateLeft32(t, 16)
 }
 
 // Decrypt decrypts one 16-byte block using the straightforward inverse

@@ -81,8 +81,9 @@ func TestFIPS197Appendix(t *testing.T) {
 }
 
 func TestAgainstStdlibQuick(t *testing.T) {
-	// Property: our GF-based AES matches crypto/aes for random keys and
-	// blocks at every key size.
+	// Property: our GF-based AES matches crypto/aes and the composition
+	// of the exported round functions (encryptRounds) for random keys
+	// and blocks at every key size, also in place.
 	for _, ks := range []int{16, 24, 32} {
 		ks := ks
 		prop := func(seed int64) bool {
@@ -99,10 +100,16 @@ func TestAgainstStdlibQuick(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			a, b := make([]byte, 16), make([]byte, 16)
+			a, b, r := make([]byte, 16), make([]byte, 16), make([]byte, 16)
 			ours.Encrypt(a, pt)
 			ref.Encrypt(b, pt)
-			if !bytes.Equal(a, b) {
+			encryptRounds(ours, r, pt)
+			if !bytes.Equal(a, b) || !bytes.Equal(a, r) {
+				return false
+			}
+			inPlace := append([]byte(nil), pt...)
+			ours.Encrypt(inPlace, inPlace)
+			if !bytes.Equal(inPlace, a) {
 				return false
 			}
 			ours.Decrypt(a, b)
@@ -301,5 +308,40 @@ func TestDecryptIsLeftInverseQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// encryptRounds is the byte-wise reference for Encrypt: the FIPS-197
+// cipher composed from the exported round functions on State.
+func encryptRounds(c *Cipher, dst, src []byte) {
+	s := LoadState(src[:16])
+	AddRoundKey(&s, c.enc[0])
+	for r := 1; r < c.rounds; r++ {
+		SubBytes(&s)
+		ShiftRows(&s)
+		MixColumns(&s)
+		AddRoundKey(&s, c.enc[r])
+	}
+	SubBytes(&s)
+	ShiftRows(&s)
+	AddRoundKey(&s, c.enc[c.rounds])
+	copy(dst, s.Bytes())
+}
+
+func BenchmarkEncryptBlock(b *testing.B) {
+	c, _ := NewCipher(make([]byte, 16))
+	blk := make([]byte, 16)
+	b.SetBytes(16)
+	for i := 0; i < b.N; i++ {
+		c.Encrypt(blk, blk)
+	}
+}
+
+func BenchmarkEncryptBlockRounds(b *testing.B) {
+	c, _ := NewCipher(make([]byte, 16))
+	blk := make([]byte, 16)
+	b.SetBytes(16)
+	for i := 0; i < b.N; i++ {
+		encryptRounds(c, blk, blk)
 	}
 }

@@ -6,78 +6,78 @@ package aes
 // entirely on the operations the paper's processor accelerates: AES
 // rounds on the SIMD unit and the 128-bit GHASH products on iterated
 // 32-bit carry-free partial products (gf32bMult), exactly like the
-// ECC_l wide multiplications of Section 3.3.4.
+// ECC_l wide multiplications of Section 3.3.4 (internal/kernels/gcm.go
+// models that cost).
 //
-// Two GHASH multipliers are implemented and cross-checked: the classic
-// shift-and-conditional-xor reference, and a carry-free-product +
-// sparse-reduction version built the way the GF processor would compute
-// it (internal/gfbig primitives over the reflected polynomials).
+// In software the GHASH multiply is digit-serial: NewGCM tabulates the
+// 16 multiples of H by the 4-bit polynomials (Shoup's table, 256 bytes
+// per key) and each block takes 32 nibble steps — shift the accumulator
+// by x^4, fold the four bits that leave through the sparse reduction,
+// add one table entry — instead of the 128 bit steps of the canonical
+// shift-and-xor multiplier, mulH, which stays as the test reference.
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/gfbig"
 )
 
 // gcmTagSize is the full 16-byte authentication tag.
 const gcmTagSize = 16
+
+// ghashR is the GHASH reduction constant: x^128 = 1 + x + x^2 + x^7 in
+// the bit-reflected encoding, where bit 63 of the first half is x^0.
+const ghashR = uint64(0xE1) << 56
 
 // GCM is an AES-GCM AEAD with a 96-bit nonce and 16-byte tag.
 type GCM struct {
 	c *Cipher
 	// hash subkey H = E_K(0^128), big-endian halves.
 	h0, h1 uint64
-	// hRefl is H in the LSB-first polynomial basis for the carry-free path.
-	hRefl gfbig.Elem
-	// fRefl is GF(2^128)/x^128+x^7+x^2+x+1 for the carry-free path.
-	fRefl *gfbig.Field
+	// htab[v] = p_v(x)·H, where nibble v read MSB first is the
+	// polynomial p_v = v3 + v2·x + v1·x^2 + v0·x^3 (bit 3 of v is x^0,
+	// as in GHASH's bit-reflected encoding). 16 x 16 bytes.
+	htab [16][2]uint64
 }
 
 // NewGCM wraps the cipher in Galois/Counter Mode.
 func (c *Cipher) NewGCM() *GCM {
-	var zero, h [BlockSize]byte
-	c.Encrypt(h[:], zero[:])
+	var h [BlockSize]byte
+	c.Encrypt(h[:], h[:])
 	g := &GCM{
-		c:     c,
-		h0:    binary.BigEndian.Uint64(h[0:8]),
-		h1:    binary.BigEndian.Uint64(h[8:16]),
-		fRefl: gfbig.MustNew(128, 7, 2, 1, 0),
+		c:  c,
+		h0: binary.BigEndian.Uint64(h[0:8]),
+		h1: binary.BigEndian.Uint64(h[8:16]),
 	}
-	g.hRefl = g.reflect(h[:])
+	g.buildTable()
 	return g
 }
 
-// reflect converts a 16-byte GHASH element (bit 0 = MSB of byte 0 =
-// coefficient of x^0) into the standard LSB-first gfbig packing.
-func (g *GCM) reflect(b []byte) gfbig.Elem {
-	e := g.fRefl.Zero()
-	for i := 0; i < 128; i++ {
-		// GHASH bit i lives at byte i/8, bit (7 - i%8) — MSB first.
-		if b[i/8]>>(7-i%8)&1 == 1 {
-			e[i/32] |= 1 << (i % 32)
+// buildTable fills htab from the subkey (h0, h1).
+func (g *GCM) buildTable() {
+	// hx[i] = x^i·H for i = 0..3; nibble bit 3-i selects hx[i].
+	var hx [4][2]uint64
+	hx[0] = [2]uint64{g.h0, g.h1}
+	for i := 1; i < 4; i++ {
+		v0, v1 := hx[i-1][0], hx[i-1][1]
+		hx[i] = [2]uint64{v0>>1 ^ ghashR&-(v1&1), v1>>1 | v0<<63}
+	}
+	for v := 1; v < 16; v++ {
+		for i := 0; i < 4; i++ {
+			if v>>(3-i)&1 == 1 {
+				g.htab[v][0] ^= hx[i][0]
+				g.htab[v][1] ^= hx[i][1]
+			}
 		}
 	}
-	return e
-}
-
-// unreflect is the inverse of reflect.
-func (g *GCM) unreflect(e gfbig.Elem) []byte {
-	b := make([]byte, 16)
-	for i := 0; i < 128; i++ {
-		if e[i/32]>>(i%32)&1 == 1 {
-			b[i/8] |= 1 << (7 - i%8)
-		}
-	}
-	return b
 }
 
 // mulH multiplies the 128-bit block (big-endian halves) by H with the
 // canonical GHASH shift-and-xor algorithm (NIST SP 800-38D, right-shift
-// variant with R = 0xE1 << 120).
+// variant with R = 0xE1 << 120): the bit-serial reference the table
+// multiply mul is tested against.
 func (g *GCM) mulH(x0, x1 uint64) (z0, z1 uint64) {
 	v0, v1 := g.h0, g.h1
-	const r = uint64(0xE1) << 56
 	for i := 0; i < 128; i++ {
 		var bit uint64
 		if i < 64 {
@@ -93,122 +93,150 @@ func (g *GCM) mulH(x0, x1 uint64) (z0, z1 uint64) {
 		v1 = v1>>1 | v0<<63
 		v0 >>= 1
 		if lsb == 1 {
-			v0 ^= r
+			v0 ^= ghashR
 		}
 	}
 	return
 }
 
-// mulHClmul computes the same product through carry-free multiplication
-// and sparse reduction in the reflected basis — the GF-processor path:
-// reflect both operands, take the 128x128 carry-free product (sixteen
-// 32-bit partial products), multiply by the extra x that the double
-// reflection introduces, reduce modulo x^128+x^7+x^2+x+1, reflect back.
-func (g *GCM) mulHClmul(x []byte) []byte {
-	// GHASH numbers the bits of its byte string MSB-of-byte-0 first, and
-	// that bit index IS the polynomial coefficient index; reflect() maps
-	// it to gfbig's LSB-first packing of the same polynomial, so the
-	// product is a plain field multiplication modulo x^128+x^7+x^2+x+1 —
-	// sixteen 32-bit carry-free partial products plus sparse reduction,
-	// identical in structure to the Section 3.3.4 wide multiplies.
-	xr := g.reflect(x)
-	red := g.fRefl.Mul(xr, g.hRefl)
-	return g.unreflect(red)
-}
-
-// ghash runs GHASH over the already-padded blocks of data.
-func (g *GCM) ghash(chunks ...[]byte) [BlockSize]byte {
-	var y0, y1 uint64
-	absorb := func(b []byte) {
-		for off := 0; off < len(b); off += BlockSize {
-			var blk [BlockSize]byte
-			copy(blk[:], b[off:])
-			y0 ^= binary.BigEndian.Uint64(blk[0:8])
-			y1 ^= binary.BigEndian.Uint64(blk[8:16])
-			y0, y1 = g.mulH(y0, y1)
+// mul returns x·H by Horner's rule over the 32 nibbles of x, highest
+// powers (the low nibble of x1) first: z <- z·x^4 + p_v·H. Multiplying
+// by x^4 shifts z right by four bits; the four coefficients that leave
+// (x^124..x^127, the low nibble o of z1) re-enter as
+// x^128+j = x^j·(1+x+x^2+x^7), i.e. ghashR shifted right by j for bit
+// 3-j of o. Summed over the bits that is the carry-less product
+// o·0xE1 = o ^ o<<5 ^ o<<6 ^ o<<7, placed at bit 53 — no reduction
+// table and no branch.
+func (g *GCM) mul(x0, x1 uint64) (z0, z1 uint64) {
+	for _, w := range [2]uint64{x1, x0} {
+		for j := 0; j < 64; j += 4 {
+			o := z1 & 0xf
+			z1 = z1>>4 | z0<<60
+			z0 = z0>>4 ^ (o^o<<5^o<<6^o<<7)<<53
+			t := &g.htab[w>>j&0xf]
+			z0 ^= t[0]
+			z1 ^= t[1]
 		}
 	}
-	for _, c := range chunks {
-		absorb(c)
+	return
+}
+
+// absorb folds data into the running GHASH state y, one block per
+// multiply; a final partial block is zero-padded.
+func (g *GCM) absorb(y0, y1 uint64, data []byte) (uint64, uint64) {
+	for len(data) >= BlockSize {
+		y0, y1 = g.mul(y0^binary.BigEndian.Uint64(data[0:8]), y1^binary.BigEndian.Uint64(data[8:16]))
+		data = data[BlockSize:]
 	}
-	var out [BlockSize]byte
-	binary.BigEndian.PutUint64(out[0:8], y0)
-	binary.BigEndian.PutUint64(out[8:16], y1)
-	return out
+	if len(data) > 0 {
+		var blk [BlockSize]byte
+		copy(blk[:], data)
+		y0, y1 = g.mul(y0^binary.BigEndian.Uint64(blk[0:8]), y1^binary.BigEndian.Uint64(blk[8:16]))
+	}
+	return y0, y1
 }
 
-// lenBlock encodes the GHASH length block: bit lengths of aad and ct.
-func lenBlock(aadLen, ctLen int) []byte {
-	var b [BlockSize]byte
-	binary.BigEndian.PutUint64(b[0:8], uint64(aadLen)*8)
-	binary.BigEndian.PutUint64(b[8:16], uint64(ctLen)*8)
-	return b[:]
+// tag writes the 16-byte tag for (aad, ct) under the pre-counter block
+// j0 into dst: GHASH over aad, ct and their bit lengths, masked with
+// E_K(J0).
+func (g *GCM) tag(dst []byte, j0 *[BlockSize]byte, aad, ct []byte) {
+	y0, y1 := g.absorb(0, 0, aad)
+	y0, y1 = g.absorb(y0, y1, ct)
+	y0, y1 = g.mul(y0^uint64(len(aad))*8, y1^uint64(len(ct))*8)
+	var ek0 [BlockSize]byte
+	g.c.Encrypt(ek0[:], j0[:])
+	binary.BigEndian.PutUint64(dst[0:8], y0^binary.BigEndian.Uint64(ek0[0:8]))
+	binary.BigEndian.PutUint64(dst[8:16], y1^binary.BigEndian.Uint64(ek0[8:16]))
 }
 
-// counterBlocks derives J0 from a 96-bit nonce and runs GCTR.
-func (g *GCM) gctr(dst, src, j0 []byte, startCtr uint32) {
-	ctr := append([]byte(nil), j0...)
+// gctr XORs src with the keystream E_K(J0 with counter 2, 3, ...) into
+// dst. dst and src must overlap exactly or not at all.
+func (g *GCM) gctr(dst, src []byte, j0 *[BlockSize]byte) {
+	ctr := *j0
 	var ks [BlockSize]byte
-	c := startCtr
-	for off := 0; off < len(src); off += BlockSize {
+	for c := uint32(2); len(src) > 0; c++ {
 		binary.BigEndian.PutUint32(ctr[12:], c)
-		c++
-		g.c.Encrypt(ks[:], ctr)
-		n := len(src) - off
-		if n > BlockSize {
-			n = BlockSize
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ ks[i]
-		}
+		g.c.Encrypt(ks[:], ctr[:])
+		n := subtle.XORBytes(dst, src, ks[:])
+		dst, src = dst[n:], src[n:]
 	}
+}
+
+// preCounter derives J0 = nonce ‖ 0^31 ‖ 1 from a 96-bit nonce.
+func preCounter(nonce []byte) (j0 [BlockSize]byte, err error) {
+	if len(nonce) != 12 {
+		return j0, fmt.Errorf("aes: GCM nonce must be 12 bytes")
+	}
+	copy(j0[:], nonce)
+	j0[15] = 1
+	return j0, nil
+}
+
+// grow extends dst by n bytes, reusing its spare capacity when it
+// suffices, and returns the whole slice and the n-byte extension.
+func grow(dst []byte, n int) (whole, ext []byte) {
+	if total := len(dst) + n; cap(dst) >= total {
+		whole = dst[:total]
+	} else {
+		whole = make([]byte, total)
+		copy(whole, dst)
+	}
+	return whole, whole[len(dst):]
 }
 
 // Seal encrypts and authenticates plaintext with the 12-byte nonce and
-// additional authenticated data, returning ciphertext || 16-byte tag.
+// additional authenticated data, returning ciphertext || 16-byte tag in
+// a new slice. Its inputs are not modified.
 func (g *GCM) Seal(nonce, plaintext, aad []byte) ([]byte, error) {
-	if len(nonce) != 12 {
-		return nil, fmt.Errorf("aes: GCM nonce must be 12 bytes")
-	}
-	j0 := make([]byte, BlockSize)
-	copy(j0, nonce)
-	j0[15] = 1
-	out := make([]byte, len(plaintext)+gcmTagSize)
-	g.gctr(out, plaintext, j0, 2)
-	s := g.ghash(aad, out[:len(plaintext)], lenBlock(len(aad), len(plaintext)))
-	var ek0 [BlockSize]byte
-	g.c.Encrypt(ek0[:], j0)
-	for i := 0; i < gcmTagSize; i++ {
-		out[len(plaintext)+i] = s[i] ^ ek0[i]
-	}
-	return out, nil
+	return g.SealTo(make([]byte, 0, len(plaintext)+gcmTagSize), nonce, plaintext, aad)
 }
 
-// Open verifies and decrypts Seal's output. It returns an error on
-// authentication failure (and no plaintext).
+// SealTo is Seal appending ciphertext || tag to dst and returning the
+// extended slice, after the crypto/cipher AEAD convention: pass
+// plaintext[:0] as dst to encrypt in place (the tag then needs 16 bytes
+// of spare capacity, or the result moves to a new array). Otherwise
+// dst's spare capacity must not overlap plaintext.
+func (g *GCM) SealTo(dst, nonce, plaintext, aad []byte) ([]byte, error) {
+	j0, err := preCounter(nonce)
+	if err != nil {
+		return nil, err
+	}
+	ret, out := grow(dst, len(plaintext)+gcmTagSize)
+	ct := out[:len(plaintext)]
+	g.gctr(ct, plaintext, &j0)
+	g.tag(out[len(plaintext):], &j0, aad, ct)
+	return ret, nil
+}
+
+// Open verifies and decrypts Seal's output into a new slice. It returns
+// an error on authentication failure (and no plaintext). Its inputs are
+// not modified.
 func (g *GCM) Open(nonce, sealed, aad []byte) ([]byte, error) {
-	if len(nonce) != 12 {
-		return nil, fmt.Errorf("aes: GCM nonce must be 12 bytes")
+	return g.OpenTo(make([]byte, 0, max(len(sealed)-gcmTagSize, 0)), nonce, sealed, aad)
+}
+
+// OpenTo is Open appending the plaintext to dst and returning the
+// extended slice, after the crypto/cipher AEAD convention: pass
+// sealed[:0] as dst to decrypt in place. The tag is verified before
+// anything is written, so on authentication failure dst's spare
+// capacity — the sealed bytes themselves when decrypting in place — is
+// left unchanged. Otherwise dst's spare capacity must not overlap
+// sealed.
+func (g *GCM) OpenTo(dst, nonce, sealed, aad []byte) ([]byte, error) {
+	j0, err := preCounter(nonce)
+	if err != nil {
+		return nil, err
 	}
 	if len(sealed) < gcmTagSize {
 		return nil, fmt.Errorf("aes: GCM ciphertext shorter than tag")
 	}
 	ct := sealed[:len(sealed)-gcmTagSize]
-	tag := sealed[len(sealed)-gcmTagSize:]
-	j0 := make([]byte, BlockSize)
-	copy(j0, nonce)
-	j0[15] = 1
-	s := g.ghash(aad, ct, lenBlock(len(aad), len(ct)))
-	var ek0 [BlockSize]byte
-	g.c.Encrypt(ek0[:], j0)
-	var diff byte
-	for i := 0; i < gcmTagSize; i++ {
-		diff |= tag[i] ^ s[i] ^ ek0[i]
-	}
-	if diff != 0 {
+	var want [gcmTagSize]byte
+	g.tag(want[:], &j0, aad, ct)
+	if subtle.ConstantTimeCompare(want[:], sealed[len(ct):]) != 1 {
 		return nil, fmt.Errorf("aes: GCM authentication failed")
 	}
-	pt := make([]byte, len(ct))
-	g.gctr(pt, ct, j0, 2)
-	return pt, nil
+	ret, out := grow(dst, len(ct))
+	g.gctr(out, ct, &j0)
+	return ret, nil
 }

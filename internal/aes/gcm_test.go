@@ -4,7 +4,6 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	"crypto/cipher"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -57,12 +56,20 @@ func TestGCMOpenRoundTripAndTamper(t *testing.T) {
 	if !bytes.Equal(back, pt) {
 		t.Fatal("round trip failed")
 	}
-	// Any single-bit tamper must fail authentication.
+	// Any single-bit tamper must fail authentication, and an in-place
+	// OpenTo that fails must write nothing into the sealed bytes.
 	for _, idx := range []int{0, len(sealed) / 2, len(sealed) - 1} {
 		bad := append([]byte(nil), sealed...)
 		bad[idx] ^= 1
 		if _, err := g.Open(nonce, bad, aad); err == nil {
 			t.Fatalf("tampered byte %d accepted", idx)
+		}
+		before := append([]byte(nil), bad...)
+		if _, err := g.OpenTo(bad[:0], nonce, bad, aad); err == nil {
+			t.Fatalf("tampered byte %d accepted in place", idx)
+		}
+		if !bytes.Equal(bad, before) {
+			t.Fatalf("tampered byte %d: failed in-place OpenTo modified the buffer", idx)
 		}
 	}
 	// Wrong AAD must fail.
@@ -82,40 +89,160 @@ func TestGCMValidation(t *testing.T) {
 	}
 }
 
-func TestGHASHClmulMatchesShiftReference(t *testing.T) {
-	// The carry-free-product GHASH multiplier (the GF-processor path,
-	// built from the same primitives as the ECC_l wide multiply) must
-	// agree with the canonical shift-and-xor reference on random blocks.
+// TestGHASHTableMatchesShiftReference: the 4-bit table multiply
+// agrees with the bit-serial shift-and-xor reference mulH for random
+// subkeys and blocks, and on the edge cases: x = 0, x = 1 (the
+// polynomial 1, whose encoding is the top bit of x0, so x·H = H), and
+// subkeys with only bit 0 or only bit 127 set.
+func TestGHASHTableMatchesShiftReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	key := make([]byte, 16)
-	rng.Read(key)
-	c, _ := NewCipher(key)
-	g := c.NewGCM()
-	for trial := 0; trial < 200; trial++ {
-		var x [16]byte
-		rng.Read(x[:])
-		x0 := binary.BigEndian.Uint64(x[0:8])
-		x1 := binary.BigEndian.Uint64(x[8:16])
-		z0, z1 := g.mulH(x0, x1)
-		var want [16]byte
-		binary.BigEndian.PutUint64(want[0:8], z0)
-		binary.BigEndian.PutUint64(want[8:16], z1)
-		got := g.mulHClmul(x[:])
-		if !bytes.Equal(got, want[:]) {
-			t.Fatalf("trial %d: clmul GHASH %x != reference %x", trial, got, want)
+	check := func(g *GCM, x0, x1 uint64) {
+		t.Helper()
+		z0, z1 := g.mul(x0, x1)
+		w0, w1 := g.mulH(x0, x1)
+		if z0 != w0 || z1 != w1 {
+			t.Fatalf("H=%016x%016x x=%016x%016x: table %016x%016x != reference %016x%016x",
+				g.h0, g.h1, x0, x1, z0, z1, w0, w1)
+		}
+	}
+	var gs []*GCM
+	for trial := 0; trial < 20; trial++ {
+		key := make([]byte, 16)
+		rng.Read(key)
+		c, _ := NewCipher(key)
+		gs = append(gs, c.NewGCM())
+	}
+	// Crafted subkeys: bit 0 (x^0, the top bit of h0), bit 127 (x^127,
+	// the low bit of h1), both, and all ones.
+	for _, h := range [][2]uint64{{1 << 63, 0}, {0, 1}, {1 << 63, 1}, {^uint64(0), ^uint64(0)}} {
+		gs = append(gs, withSubkey(h[0], h[1]))
+	}
+	for _, g := range gs {
+		check(g, 0, 0)
+		check(g, 1<<63, 0)
+		check(g, 0, 1)
+		check(g, ^uint64(0), ^uint64(0))
+		if z0, z1 := g.mul(1<<63, 0); z0 != g.h0 || z1 != g.h1 {
+			t.Fatalf("1·H = %016x%016x, want H", z0, z1)
+		}
+		if z0, z1 := g.mul(0, 0); z0 != 0 || z1 != 0 {
+			t.Fatalf("0·H = %016x%016x, want 0", z0, z1)
+		}
+		for i := 0; i < 50; i++ {
+			check(g, rng.Uint64(), rng.Uint64())
 		}
 	}
 }
 
-func TestGHASHReflectRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+// withSubkey returns a GCM (multiply only, no cipher) whose GHASH
+// subkey is (h0, h1), so the table construction sees crafted values.
+func withSubkey(h0, h1 uint64) *GCM {
+	g := &GCM{h0: h0, h1: h1}
+	g.buildTable()
+	return g
+}
+
+// TestSealOpenToInPlace: SealTo/OpenTo append after the crypto/cipher
+// convention — in place through plaintext[:0] / sealed[:0], and into a
+// prefix-carrying dst — and agree with Seal/Open, which leave their
+// inputs untouched.
+func TestSealOpenToInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	c, _ := NewCipher([]byte("0123456789abcdef"))
+	g := c.NewGCM()
+	nonce := make([]byte, 12)
+	aad := []byte("hdr")
+	for _, n := range []int{0, 1, 15, 16, 17, 100, 3824} {
+		pt := make([]byte, n)
+		rng.Read(pt)
+		ptCopy := append([]byte(nil), pt...)
+		want, err := g.Seal(nonce, pt, aad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pt, ptCopy) {
+			t.Fatalf("n=%d: Seal modified its plaintext", n)
+		}
+		wantCopy := append([]byte(nil), want...)
+		back, err := g.Open(nonce, want, aad)
+		if err != nil || !bytes.Equal(back, pt) {
+			t.Fatalf("n=%d: Open round trip failed: %v", n, err)
+		}
+		if !bytes.Equal(want, wantCopy) {
+			t.Fatalf("n=%d: Open modified its input", n)
+		}
+
+		// In place: the buffer has room for the tag.
+		buf := make([]byte, n, n+gcmTagSize)
+		copy(buf, pt)
+		sealed, err := g.SealTo(buf[:0], nonce, buf, aad)
+		if err != nil || !bytes.Equal(sealed, want) {
+			t.Fatalf("n=%d: in-place SealTo differs from Seal: %v", n, err)
+		}
+		if &sealed[0] != &buf[:1][0] {
+			t.Fatalf("n=%d: in-place SealTo moved to a new array", n)
+		}
+		opened, err := g.OpenTo(sealed[:0], nonce, sealed, aad)
+		if err != nil || !bytes.Equal(opened, pt) {
+			t.Fatalf("n=%d: in-place OpenTo failed: %v", n, err)
+		}
+
+		// Appending after a prefix.
+		prefix := []byte("prefix")
+		got, err := g.SealTo(append([]byte(nil), prefix...), nonce, pt, aad)
+		if err != nil || !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
+			t.Fatalf("n=%d: SealTo after prefix: %v", n, err)
+		}
+		got, err = g.OpenTo(append([]byte(nil), prefix...), nonce, want, aad)
+		if err != nil || !bytes.Equal(got, append(append([]byte(nil), prefix...), pt...)) {
+			t.Fatalf("n=%d: OpenTo after prefix: %v", n, err)
+		}
+	}
+}
+
+// TestOpenToZeroAlloc: the serving path — decrypt in place — and an
+// in-place seal with room for the tag allocate nothing.
+func TestOpenToZeroAlloc(t *testing.T) {
+	c, _ := NewCipher([]byte("0123456789abcdef"))
+	g := c.NewGCM()
+	nonce := make([]byte, 12)
+	pt := make([]byte, 3824)
+	sealed, err := g.Seal(nonce, pt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(sealed))
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(buf, sealed)
+		if _, err := g.OpenTo(buf[:0], nonce, buf, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("in-place OpenTo: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := g.SealTo(buf[:0], nonce, buf[:len(pt)], nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("in-place SealTo: %v allocs/op, want 0", allocs)
+	}
+}
+
+func BenchmarkGHASHTable(b *testing.B) {
 	c, _ := NewCipher(make([]byte, 16))
 	g := c.NewGCM()
-	for trial := 0; trial < 50; trial++ {
-		var x [16]byte
-		rng.Read(x[:])
-		if !bytes.Equal(g.unreflect(g.reflect(x[:])), x[:]) {
-			t.Fatal("reflect/unreflect not inverse")
-		}
+	x0, x1 := uint64(0x0123456789abcdef), uint64(0xfedcba9876543210)
+	for i := 0; i < b.N; i++ {
+		x0, x1 = g.mul(x0, x1)
+	}
+}
+
+func BenchmarkGHASHShift(b *testing.B) {
+	c, _ := NewCipher(make([]byte, 16))
+	g := c.NewGCM()
+	x0, x1 := uint64(0x0123456789abcdef), uint64(0xfedcba9876543210)
+	for i := 0; i < b.N; i++ {
+		x0, x1 = g.mulH(x0, x1)
 	}
 }

@@ -184,13 +184,23 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // checkLedger asserts the proxy's exact disjoint request ledger after
-// quiesce.
+// quiesce. pconn.write counts a reply only after flushing it, so a
+// client can hold its last reply before the counters show it: the
+// ledger is polled until it balances, for at most 5 s.
 func checkLedger(t *testing.T, p *Proxy) {
 	t.Helper()
-	c := p.ctr.snapshot()
-	if c.Requests != c.Responses+c.Rejects+c.Dropped {
-		t.Errorf("proxy ledger: requests=%d != responses=%d + rejects=%d + dropped=%d",
-			c.Requests, c.Responses, c.Rejects, c.Dropped)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c := p.ctr.snapshot()
+		if c.Requests == c.Responses+c.Rejects+c.Dropped {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("proxy ledger: requests=%d != responses=%d + rejects=%d + dropped=%d",
+				c.Requests, c.Responses, c.Rejects, c.Dropped)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

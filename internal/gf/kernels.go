@@ -27,7 +27,7 @@ import "fmt"
 const packedMaxM = 4
 
 // tableMaxM is the largest extension degree for which the flat product
-// table is built (2^8 x 2^8 entries = 128 KiB of Elem).
+// table is built (2^m rows of 256 Elem; 128 KiB at m = 8).
 const tableMaxM = 8
 
 // Kernels provides bulk slice operations over one field. Obtain one with

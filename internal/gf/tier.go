@@ -15,7 +15,7 @@ package gf
 //
 //	scalar    — Field.Mul reference loops; the behavioral specification.
 //	packed    — m <= 4, mul-by-constant rows packed in one uint64.
-//	table     — m <= 8, flat order x order product table.
+//	table     — m <= 8, flat product table, one 256-entry row per element.
 //	bitsliced — 64-bit SWAR lanes, computed xtime steps, no tables
 //	            (bitslice.go).
 //	clmul     — carry-less-multiply routes built on integer multiplies
@@ -46,7 +46,8 @@ const (
 	TierScalar TierID = iota
 	// TierPacked packs each mul-by-constant row into one uint64 (m <= 4).
 	TierPacked
-	// TierTable is the flat order x order product table (m <= 8).
+	// TierTable is the flat product table, one 256-entry row per
+	// element (m <= 8).
 	TierTable
 	// TierBitsliced is the 64-bit SWAR lane tier: computed shift-and-add
 	// multiplication over 8 byte lanes (m <= 8) or 4 halfword lanes
@@ -139,7 +140,7 @@ type tierOps struct {
 	hornerBit   func(bits []byte, x Elem) Elem
 	syndromeBit func(dst []Elem, bits []byte, xs []Elem)
 
-	mul    []Elem   // table tier: flat product table (row c at [c*order:(c+1)*order])
+	mul    []Elem   // table tier: flat product table (row c at [c<<8:c<<8+256])
 	packed []uint64 // packed tier: one uint64 row per constant
 }
 

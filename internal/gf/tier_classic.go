@@ -9,8 +9,10 @@ package gf
 //     bits) packs into a single 64-bit word, so a product is a register
 //     shift+mask with no memory traffic at all — the nibble-split
 //     trick, cousin of the paper's gf32bMult packing.
-//   - table (m <= 8): a flat order x order product table; row c is a
-//     contiguous 256-entry (at most) slice, one L1 lookup per product.
+//   - table (m <= 8): a flat product table of one 256-entry row per
+//     element (entries past the field order unused); row c is a
+//     *[256]Elem indexed by a byte, so a product is one L1 lookup with
+//     no bounds check in the dependent Horner chains.
 
 func init() {
 	registerTier(TierScalar, buildScalarOps)
@@ -136,26 +138,28 @@ func buildTableOps(f *Field) *tierOps {
 	if f.m > tableMaxM {
 		return nil
 	}
+	// Valid elements of an m <= 8 field fit a byte, so uint8(x) indexes
+	// a row losslessly.
 	order := f.order
-	mul := make([]Elem, order*order)
+	mul := make([]Elem, order<<8)
+	row := func(c Elem) *[256]Elem { return (*[256]Elem)(mul[int(c)<<8:]) }
 	for c := 0; c < order; c++ {
-		row := mul[c*order : (c+1)*order]
+		r := row(Elem(c))
 		for x := 0; x < order; x++ {
-			row[x] = f.Mul(Elem(c), Elem(x))
+			r[x] = f.Mul(Elem(c), Elem(x))
 		}
 	}
-	row := func(c Elem) []Elem { return mul[int(c)*order : int(c)*order+order] }
-	hornerRow := func(word []Elem, r []Elem) Elem {
+	hornerRow := func(word []Elem, r *[256]Elem) Elem {
 		var acc Elem
 		for _, s := range word {
-			acc = r[acc] ^ s
+			acc = r[uint8(acc)] ^ s
 		}
 		return acc
 	}
-	hornerBitRow := func(bits []byte, r []Elem) Elem {
+	hornerBitRow := func(bits []byte, r *[256]Elem) Elem {
 		var acc Elem
 		for _, b := range bits {
-			acc = r[acc] ^ Elem(b)
+			acc = r[uint8(acc)] ^ Elem(b)
 		}
 		return acc
 	}
@@ -164,19 +168,19 @@ func buildTableOps(f *Field) *tierOps {
 		mulConst: func(dst, src []Elem, c Elem) {
 			r := row(c)
 			for i, s := range src {
-				dst[i] = r[s]
+				dst[i] = r[uint8(s)]
 			}
 		},
 		mulConstAdd: func(dst, src []Elem, c Elem) {
 			r := row(c)
 			for i, s := range src {
-				dst[i] ^= r[s]
+				dst[i] ^= r[uint8(s)]
 			}
 		},
 		dot: func(a, b []Elem) Elem {
 			var acc Elem
 			for i := range a {
-				acc ^= mul[int(a[i])*order+int(b[i])]
+				acc ^= row(a[i])[uint8(b[i])]
 			}
 			return acc
 		},
@@ -187,7 +191,7 @@ func buildTableOps(f *Field) *tierOps {
 			r := row(x)
 			var acc Elem
 			for i := len(coeffs) - 1; i >= 0; i-- {
-				acc = r[acc] ^ coeffs[i]
+				acc = r[uint8(acc)] ^ coeffs[i]
 			}
 			return acc
 		},
@@ -200,10 +204,10 @@ func buildTableOps(f *Field) *tierOps {
 				r0, r1, r2, r3 := row(xs[j]), row(xs[j+1]), row(xs[j+2]), row(xs[j+3])
 				var a0, a1, a2, a3 Elem
 				for _, r := range word {
-					a0 = r0[a0] ^ r
-					a1 = r1[a1] ^ r
-					a2 = r2[a2] ^ r
-					a3 = r3[a3] ^ r
+					a0 = r0[uint8(a0)] ^ r
+					a1 = r1[uint8(a1)] ^ r
+					a2 = r2[uint8(a2)] ^ r
+					a3 = r3[uint8(a3)] ^ r
 				}
 				dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
 			}
@@ -221,10 +225,10 @@ func buildTableOps(f *Field) *tierOps {
 				var a0, a1, a2, a3 Elem
 				for _, b := range bits {
 					e := Elem(b)
-					a0 = r0[a0] ^ e
-					a1 = r1[a1] ^ e
-					a2 = r2[a2] ^ e
-					a3 = r3[a3] ^ e
+					a0 = r0[uint8(a0)] ^ e
+					a1 = r1[uint8(a1)] ^ e
+					a2 = r2[uint8(a2)] ^ e
+					a3 = r3[uint8(a3)] ^ e
 				}
 				dst[j], dst[j+1], dst[j+2], dst[j+3] = a0, a1, a2, a3
 			}

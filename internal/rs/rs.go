@@ -10,12 +10,13 @@
 // provides in hardware.
 //
 // The hot paths (EncodeTo's LFSR bank, SyndromesTo, the BMA/Chien/
-// Forney slice loops) ride gf.Kernels, so the serving implementation
-// tier — flat product table, bitsliced SWAR or carry-less multiply —
-// is chosen per (op, length) at runtime and can be pinned process-wide
-// with GFP_KERNEL_TIER / -kernel-tier; every tier is differentially
-// verified against the scalar reference, so codewords are bit-exact
-// regardless (see docs/GF.md).
+// Forney slice loops) ride gf.Kernels — the Chien search is one
+// multipoint SyndromeSlice call over all n codeword points — so the
+// serving implementation tier — flat product table, bitsliced SWAR or
+// carry-less multiply — is chosen per (op, length) at runtime and can
+// be pinned process-wide with GFP_KERNEL_TIER / -kernel-tier; every
+// tier is differentially verified against the scalar reference, so
+// codewords are bit-exact regardless (see docs/GF.md).
 //
 // Concurrency: a *Code (and a *Interleaved wrapping it) is immutable
 // after construction — the generator polynomial and the underlying
@@ -51,6 +52,7 @@ type Code struct {
 	genTop []gf.Elem   // generator coefficients in transmission order: genTop[j] = gen.Coeff(n-k-1-j)
 	enc    *gf.LFSR    // precomputed encoder feedback bank over genTop
 	roots  []gf.Elem   // the 2t generator roots alpha^b .. alpha^(b+2t-1)
+	chien  []gf.Elem   // the n Chien points: chien[p] = alpha^-p locates index n-1-p
 }
 
 // New constructs RS(n, k) over the field f with first consecutive root
@@ -85,6 +87,10 @@ func NewWithFCR(f *gf.Field, n, k, b int) (*Code, error) {
 	c.roots = make([]gf.Elem, 2*c.T)
 	for j := range c.roots {
 		c.roots[j] = f.AlphaPow(b + j)
+	}
+	c.chien = make([]gf.Elem, n)
+	for p := range c.chien {
+		c.chien[p] = f.AlphaPow(-p)
 	}
 	return c, nil
 }
@@ -225,14 +231,27 @@ func (c *Code) BerlekampMassey(synd []gf.Elem) gfpoly.Poly {
 // ChienSearch finds the error positions encoded in Lambda: it returns the
 // codeword indices (0-based, index 0 transmitted first) whose locators
 // X = alpha^(n-1-i) satisfy Lambda(X^-1) = 0, by evaluating Lambda at every
-// field element as the hardware Chien search does.
+// codeword point as the hardware Chien search does — here in one
+// multipoint kernel call (see chienTo).
 func (c *Code) ChienSearch(lambda gfpoly.Poly) []int {
-	var pos []int
-	// Evaluate at z = alpha^-p for each codeword power p = 0..n-1;
-	// codeword index i = n-1-p.
-	for p := 0; p < c.N; p++ {
-		z := c.F.AlphaPow(-p)
-		if lambda.Eval(z) == 0 {
+	rev := make([]gf.Elem, len(lambda.Coeffs))
+	return c.chienTo(nil, make([]gf.Elem, c.N), rev, lambda.Coeffs)
+}
+
+// chienTo appends to pos the codeword index of every root of the
+// locator lam (lam[i] the coefficient of x^i) among the n points
+// alpha^-p, in decreasing index order. Lambda is reversed into
+// transmission order (rev, len(lam)) so that one SyndromeSlice call —
+// the same 4-chain multipoint kernel, tier dispatch and VerifyKernels
+// coverage as the syndromes — evaluates it at all n points into ev
+// (len n). No allocation beyond pos's growth.
+func (c *Code) chienTo(pos []int, ev, rev, lam []gf.Elem) []int {
+	for i, v := range lam {
+		rev[len(lam)-1-i] = v
+	}
+	c.kern.SyndromeSlice(ev, rev, c.chien)
+	for p, v := range ev {
+		if v == 0 {
 			pos = append(pos, c.N-1-p)
 		}
 	}
@@ -297,6 +316,8 @@ type DecodeBuf struct {
 	swap      []gf.Elem // BMA copy scratch
 	omega     []gf.Elem // error evaluator S*Lambda mod x^2t (len 2t)
 	dlam      []gf.Elem // formal derivative of lambda
+	lamRev    []gf.Elem // lambda in transmission order for the Chien search
+	chien     []gf.Elem // Lambda at every Chien point (len n)
 	positions []int     // Chien search roots (cap 2t)
 	vals      []gf.Elem // Forney error values (cap 2t)
 	res       DecodeResult
@@ -317,6 +338,8 @@ func (c *Code) NewDecodeBuf() *DecodeBuf {
 		swap:      make([]gf.Elem, bl),
 		omega:     make([]gf.Elem, t2),
 		dlam:      make([]gf.Elem, t2),
+		lamRev:    make([]gf.Elem, c.T+1),
+		chien:     make([]gf.Elem, c.N),
 		positions: make([]int, 0, t2),
 		vals:      make([]gf.Elem, t2),
 	}
@@ -356,13 +379,10 @@ func (c *Code) DecodeTo(buf *DecodeBuf, recv []gf.Elem) (*DecodeResult, error) {
 	}
 	lam := buf.lambda[:nu+1]
 
-	// Chien search: evaluate Lambda at alpha^-p for every codeword power.
-	positions := buf.positions[:0]
-	for p := 0; p < c.N; p++ {
-		if c.kern.EvalSlice(lam, c.F.AlphaPow(-p)) == 0 {
-			positions = append(positions, c.N-1-p)
-		}
-	}
+	// Chien search: Lambda at alpha^-p for every codeword power in one
+	// multipoint call. Lambda(0) = 1, so it has at most nu <= t roots
+	// and positions never outgrows its 2t capacity.
+	positions := c.chienTo(buf.positions[:0], buf.chien, buf.lamRev[:nu+1], lam)
 	if len(positions) != nu {
 		return nil, fmt.Errorf("rs: Chien search found %d roots for degree-%d locator (uncorrectable)", len(positions), nu)
 	}

@@ -135,6 +135,17 @@ func TestAdminEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The writer goroutine counts a reply only after flushing it, so the
+	// client can hold its 8th reply before the ledger shows it: wait, for
+	// at most 5 s, until the counters asserted below have settled.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if led := s.Snapshot().Server; led.Requests == 8 && led.Responses == 8 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger never settled at 8 requests/responses: %+v", s.Snapshot().Server)
+		}
+	}
 
 	code, body, ct := get("/metrics")
 	if code != http.StatusOK {

@@ -212,6 +212,10 @@ type Message struct {
 	ID      uint64
 	Params  []byte
 	Payload []byte
+
+	// raw is the single buffer readMessage read params‖payload into
+	// (nil for messages built in memory); see nonceBody.
+	raw []byte
 }
 
 // ProtoError is a framing violation that poisons the byte stream: after
@@ -298,6 +302,7 @@ func readMessage(r io.Reader, maxPayload int) (*Message, error) {
 	}
 	m.Params = buf[:paramsLen:paramsLen]
 	m.Payload = buf[paramsLen:]
+	m.raw = buf
 	return m, nil
 }
 

@@ -664,10 +664,7 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 				len(m.Payload))
 		}
 		// The frame carries nonce‖body; the dispatch stage splits them.
-		data := make([]byte, NonceSize+len(m.Payload))
-		copy(data, m.Params)
-		copy(data[NonceSize:], m.Payload)
-		return c.submit(m, data, tc, readAt)
+		return c.submit(m, nonceBody(m), tc, readAt)
 	case OpECDHDerive, OpECDSASign, OpECDSAVerify, OpSecureSession:
 		svc := c.s.ecc
 		if svc == nil {
@@ -680,6 +677,17 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 	default:
 		return reject(StatusUnsupported, "unknown op %d", uint8(m.Op))
 	}
+}
+
+// nonceBody returns the seal/open frame nonce‖payload without copying
+// the body. readMessage read params‖payload into one buffer, and the
+// nonce is m.Params — the first NonceSize bytes once a trace extension
+// has been stripped — so moving it up against the payload (over the
+// extension, if any) leaves nonce‖payload as that buffer's tail.
+func nonceBody(m *Message) []byte {
+	off := len(m.raw) - len(m.Payload) - NonceSize
+	copy(m.raw[off:], m.Params)
+	return m.raw[off:]
 }
 
 // badRSLen validates an RS request payload length against the frame

@@ -48,7 +48,10 @@ func (d *dispatchStage) ForWorker(w int) pipeline.Stage {
 // Process implements pipeline.Stage. Seal/open frames carry nonce‖body
 // (the nonce is client-chosen so the peer can reconstruct it; the
 // server is a codec, not a key manager — nonce uniqueness is the
-// client's contract, as with any GCM API).
+// client's contract, as with any GCM API). Both run in place over the
+// body: open decrypts into it (after the tag verifies) without
+// allocating; seal encrypts into it and moves to a new array only when
+// the frame has no spare capacity for the tag.
 func (d *dispatchStage) Process(f *pipeline.Frame) error {
 	switch Op(f.Epoch) {
 	case OpRSEncode:
@@ -56,14 +59,16 @@ func (d *dispatchStage) Process(f *pipeline.Frame) error {
 	case OpRSDecode:
 		return d.dec.Process(f)
 	case OpSeal:
-		out, err := d.gcm.Seal(f.Data[:NonceSize], f.Data[NonceSize:], d.aad)
+		body := f.Data[NonceSize:]
+		out, err := d.gcm.SealTo(body[:0], f.Data[:NonceSize], body, d.aad)
 		if err != nil {
 			return err
 		}
 		f.Data = out
 		return nil
 	case OpOpen:
-		out, err := d.gcm.Open(f.Data[:NonceSize], f.Data[NonceSize:], d.aad)
+		body := f.Data[NonceSize:]
+		out, err := d.gcm.OpenTo(body[:0], f.Data[:NonceSize], body, d.aad)
 		if err != nil {
 			return err
 		}

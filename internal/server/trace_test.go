@@ -169,3 +169,37 @@ func TestMalformedTraceExtensionIgnored(t *testing.T) {
 		t.Fatalf("malformed extensions recorded %d spans", total)
 	}
 }
+
+// TestTracedSealOpen: the seal/open frame is built in place from the
+// request buffer, moving the nonce over a stripped trace extension; a
+// traced request must produce exactly the bytes an untraced one does.
+func TestTracedSealOpen(t *testing.T) {
+	_, addr := startServer(t, Config{N: 255, K: 239, Depth: 1, Workers: 2, TraceRing: 64})
+	c := dialT(t, addr)
+
+	nonce := bytes.Repeat([]byte{7}, NonceSize)
+	pt := bytes.Repeat([]byte("traced payload "), 20)
+	want, err := c.Seal(nonce, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := func(op Op, payload []byte) []byte {
+		t.Helper()
+		m := &Message{Op: op, Params: append([]byte(nil), nonce...), Payload: append([]byte(nil), payload...)}
+		AttachTrace(m, trace.Context{Trace: trace.NewID(), Span: trace.NewID(), Sampled: true})
+		resp, err := c.Do(m)
+		if err != nil {
+			t.Fatalf("traced %v: %v", op, err)
+		}
+		return resp.Payload
+	}
+	if got := traced(OpSeal, pt); !bytes.Equal(got, want) {
+		t.Fatalf("traced seal %x, untraced %x", got, want)
+	}
+	if got := traced(OpOpen, want); !bytes.Equal(got, pt) {
+		t.Fatalf("traced open %q, want %q", got, pt)
+	}
+	if got, err := c.Open(nonce, want); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("untraced open %q, %v", got, err)
+	}
+}
