@@ -394,18 +394,16 @@ func BenchmarkGFKernelSyndromeSlice(b *testing.B) {
 }
 
 // --- Kernel tier A/B: the same hot codec loops forced onto each GF
-// kernel tier (internal/gf/tier.go). The auto row is the calibrated
-// per-(op, length) dispatch; the other rows pin the process-wide tier
-// exactly as GFP_KERNEL_TIER / -kernel-tier would, so the BENCH json
-// records where each tier wins and that auto tracks the winner. ---
+// kernel tier (internal/gf/tier.go). The auto row is the fixed per-op
+// rule; the other rows pin the process-wide tier exactly as
+// GFP_KERNEL_TIER would, so the BENCH json records that auto tracks the
+// winning tier. ---
 
 // benchPerTier runs fn once per tier as a sub-benchmark named after the
 // tier, forcing the process-wide tier for its duration.
 func benchPerTier(b *testing.B, fn func(b *testing.B)) {
 	defer gf.ForceKernelTier(gf.TierAuto)
-	for _, tier := range []gf.TierID{
-		gf.TierAuto, gf.TierScalar, gf.TierTable, gf.TierBitsliced, gf.TierCLMul,
-	} {
+	for _, tier := range []gf.TierID{gf.TierAuto, gf.TierScalar, gf.TierTable} {
 		b.Run(tier.String(), func(b *testing.B) {
 			gf.ForceKernelTier(tier)
 			b.ResetTimer()
@@ -451,9 +449,8 @@ func BenchmarkGFTierRSSyndromes255_223(b *testing.B) {
 }
 
 // BenchmarkGFTierBCHSyndromes255 drives the binary-word syndrome path
-// per tier on a long BCH code over GF(2^8): n = 255 bits through the
-// code's BitSyndromePlan, where the clmul minimal-polynomial fold is the
-// headline win over the table tier's bit-Horner.
+// (SyndromeBitSlice) per tier on a long BCH code over GF(2^8): n = 255
+// bits, 32 evaluation points.
 func BenchmarkGFTierBCHSyndromes255(b *testing.B) {
 	code := bch.Must(gf.MustDefault(8), 16)
 	rng := rand.New(rand.NewSource(88))
@@ -660,15 +657,6 @@ func BenchmarkGCMSeal(b *testing.B) {
 		if _, err := g.Seal(nonce, pt, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkWideMulF233Comb(b *testing.B) {
-	f := gfbig.F233()
-	x := f.FromUint64(0xDEADBEEF)
-	y := f.FromUint64(0xCAFEF00D)
-	for i := 0; i < b.N; i++ {
-		x = f.MulComb(x, y)
 	}
 }
 

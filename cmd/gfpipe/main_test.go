@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/gf"
 )
 
 func baseConfig() cliConfig {
@@ -133,6 +135,22 @@ func TestAdaptiveFramesOverride(t *testing.T) {
 	}
 	if res.frames != 70 {
 		t.Fatalf("ran %d frames, want 70", res.frames)
+	}
+}
+
+// TestRunKeepsForcedKernelTier: GFP_KERNEL_TIER (applied at init, or
+// gf.ForceKernelTier) is the one kernel-tier switch, so run must leave
+// a forced tier in place.
+func TestRunKeepsForcedKernelTier(t *testing.T) {
+	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	gf.ForceKernelTier(gf.TierScalar)
+	cfg := baseConfig()
+	cfg.frames = 4
+	if _, err := run(cfg, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := gf.ForcedKernelTier(); got != gf.TierScalar {
+		t.Fatalf("ForcedKernelTier() after run = %v, want scalar", got)
 	}
 }
 

@@ -59,20 +59,21 @@ func IrreduciblePolys(m int) []uint32 { return gf.IrreduciblePolys(m) }
 
 // --- Kernel tiers ---
 
-// KernelTier identifies one GF bulk-kernel implementation tier (scalar,
-// packed, table, bitsliced, clmul); see docs/GF.md.
+// KernelTier identifies one GF bulk-kernel implementation tier (scalar
+// or table); see docs/GF.md.
 type KernelTier = gf.TierID
 
 // ParseKernelTier maps a tier name (or "auto"/"") to a KernelTier.
 func ParseKernelTier(name string) (KernelTier, error) { return gf.ParseTier(name) }
 
 // ForceKernelTier pins every bulk kernel process-wide to one tier
-// (gf.TierAuto restores the calibrated per-(field, op, length) choice).
+// (gf.TierAuto restores the fixed per-op rule: table where the field has
+// one and the table tier implements the op, scalar otherwise).
 // Ops the forced tier lacks fall back to the scalar reference, so
 // results stay bit-exact. Equivalent to the GFP_KERNEL_TIER env knob.
 func ForceKernelTier(t KernelTier) { gf.ForceKernelTier(t) }
 
-// VerifyKernels differentially checks every registered kernel tier of f
+// VerifyKernels differentially checks every built kernel tier of f
 // against the scalar reference over pseudo-random vectors, returning
 // the first disagreement (nil when all tiers agree).
 func VerifyKernels(f *Field, vectors int, seed int64) error {

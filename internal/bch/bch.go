@@ -36,11 +36,9 @@ type Code struct {
 	cosets [][]int     // cyclotomic cosets used (mod 2^m-1)
 
 	// Hot-path precomputation (immutable after New).
-	kern     *gf.Kernels         // the field's bulk slice kernels
-	roots    []gf.Elem           // alpha^1 .. alpha^2t, the syndrome evaluation points
-	oddRoots []gf.Elem           // alpha^1, alpha^3, ... — SyndromesFast evaluation points
-	synPlan  *gf.BitSyndromePlan // precomputed plan over roots
-	oddPlan  *gf.BitSyndromePlan // precomputed plan over oddRoots
+	kern     *gf.Kernels // the field's bulk slice kernels
+	roots    []gf.Elem   // alpha^1 .. alpha^2t, the syndrome evaluation points
+	oddRoots []gf.Elem   // alpha^1, alpha^3, ... — SyndromesFast evaluation points
 }
 
 // New constructs the narrow-sense binary BCH code of designed distance
@@ -84,12 +82,6 @@ func New(f *gf.Field, t int) (*Code, error) {
 	for i := range c.oddRoots {
 		c.oddRoots[i] = f.AlphaPow(2*i + 1)
 	}
-	// Bit-syndrome plans: amortize the per-root minimal-polynomial and
-	// Barrett precomputation once per code, unlocking the carry-less
-	// fold route for long words (the lookup tiers still serve short
-	// ones; the plan dispatches by the calibrated crossover).
-	c.synPlan = c.kern.NewBitSyndromePlan(c.roots)
-	c.oddPlan = c.kern.NewBitSyndromePlan(c.oddRoots)
 	return c, nil
 }
 
@@ -222,7 +214,7 @@ func (c *Code) SyndromesTo(dst []gf.Elem, recv []byte) []gf.Elem {
 		panic(fmt.Sprintf("bch: syndrome scratch length %d, want >= %d", len(dst), 2*c.T))
 	}
 	s := dst[:2*c.T]
-	c.synPlan.Run(s, recv)
+	c.kern.SyndromeBitSlice(s, recv, c.roots)
 	return s
 }
 
@@ -247,7 +239,7 @@ func (c *Code) syndromesScalar(recv []byte) []gf.Elem {
 func (c *Code) SyndromesFast(recv []byte) []gf.Elem {
 	s := make([]gf.Elem, 2*c.T)
 	odd := make([]gf.Elem, c.T)
-	c.oddPlan.Run(odd, recv)
+	c.kern.SyndromeBitSlice(odd, recv, c.oddRoots)
 	for i := 1; i <= 2*c.T; i++ {
 		if i%2 == 0 {
 			s[i-1] = c.F.Sqr(s[i/2-1])

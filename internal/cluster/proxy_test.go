@@ -70,6 +70,10 @@ func (tb *testBackend) start(addr, adminAddr string) {
 	tb.stopped.Store(false)
 	go func() { tb.serveDone <- srv.Serve(ln) }()
 	go tb.adminSrv.Serve(adminLn)
+	// Healthy runs the lazy datapath self-test on first call. Finish it
+	// here, before any proxy probes the backend: under the race
+	// detector it takes longer than fastHealth's probe timeout.
+	waitFor(tb.t, 10*time.Second, "backend healthy", func() bool { return srv.Healthy() == nil })
 }
 
 // kill simulates losing the process mid-flight: connections are cut

@@ -313,7 +313,7 @@ func TestEngineZeroAlloc(t *testing.T) {
 	peerBytes := c.MarshalUncompressed(peer.Pub)
 	digest := sha256.Sum256([]byte("steady state"))
 	out := make([]byte, 0, 256)
-	// Warm up (first call may calibrate the gfbig strategy).
+	// Warm up outside the measured window.
 	if _, err := e.Derive(out, peerBytes); err != nil {
 		t.Fatal(err)
 	}

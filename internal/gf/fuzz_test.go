@@ -30,14 +30,14 @@ func FuzzMulAgainstNoTable(f *testing.F) {
 		if got, want := fld.Mul(a, b), fld.MulNoTable(a, b); got != want {
 			t.Fatalf("m=%d: Mul(%#x,%#x) = %#x, MulNoTable = %#x", m, a, b, got, want)
 		}
-		// The carry-less-multiply routes must agree with the tables too:
-		// hole-masked clmul plus field-poly reduction is a third
+		// The table tier's product table must agree too: it is a third
 		// independent implementation of the same product.
-		if got := Elem(ReducePoly(clmul32(uint32(a), uint32(b)), uint64(fld.Poly()))); got != fld.Mul(a, b) {
-			t.Fatalf("m=%d: clmul32 route (%#x,%#x) = %#x, Mul = %#x", m, a, b, got, fld.Mul(a, b))
-		}
-		if hi, lo := Clmul64(uint64(a), uint64(b)); hi != 0 || lo != clmul32(uint32(a), uint32(b)) {
-			t.Fatalf("m=%d: Clmul64(%#x,%#x) = (%#x,%#x), want (0,%#x)", m, a, b, hi, lo, clmul32(uint32(a), uint32(b)))
+		if m <= tableMaxM {
+			var got [1]Elem
+			fld.Kernels().forTier(TierTable).MulConstSlice(got[:], []Elem{b}, a)
+			if got[0] != fld.Mul(a, b) {
+				t.Fatalf("m=%d: table tier (%#x,%#x) = %#x, Mul = %#x", m, a, b, got[0], fld.Mul(a, b))
+			}
 		}
 		if got, want := fld.Sqr(a), fld.SqrNoTable(a); got != want {
 			t.Fatalf("m=%d: Sqr(%#x) = %#x, SqrNoTable = %#x", m, a, got, want)
@@ -70,9 +70,8 @@ func FuzzMulAgainstNoTable(f *testing.F) {
 }
 
 // FuzzSyndromeTiers drives the multi-point syndrome kernels of every
-// registered tier — and the BitSyndromePlan clmul fold — over
-// fuzzer-chosen words and evaluation points, comparing each against the
-// scalar reference. This is the differential gate for the hot decode
+// built tier over fuzzer-chosen words and evaluation points, comparing
+// each against the scalar reference. This is the differential gate for the hot decode
 // path: a tier that disagrees on any (field, word, points) triple is a
 // silent-corruption bug.
 func FuzzSyndromeTiers(f *testing.F) {
@@ -133,11 +132,5 @@ func FuzzSyndromeTiers(f *testing.F) {
 			}
 		}
 
-		k.NewBitSyndromePlan(xs).fold(got, bits)
-		for j := range got {
-			if got[j] != wantBits[j] {
-				t.Fatalf("m=%d: plan fold[%d] = %d, scalar says %d", m, j, got[j], wantBits[j])
-			}
-		}
 	})
 }

@@ -7,31 +7,24 @@ package gf
 // symbol-at-a-time Field.Mul route (two table lookups plus a zero branch
 // per product) with whole-slice kernels.
 //
-// The implementation strategies live in a pluggable tier registry (see
-// tier.go): classic lookup tiers (packed rows for m <= 4, a flat product
-// table for m <= 8), a computed 64-bit SWAR tier (bitslice.go) and a
-// carry-less-multiply tier (clmul.go). Every exported operation picks
-// its tier per call from the calibrated per-(field, op, length)
-// selection — overridable process-wide via GFP_KERNEL_TIER /
-// ForceKernelTier — and falls back to the scalar reference for ops the
-// chosen tier does not implement. The scalar tier is the behavioral
-// specification; selftest.go proves every other tier extensionally
-// equal to it.
+// Two implementation tiers serve every operation (see tier.go): the
+// flat product table for m <= 8 and the scalar reference. A fixed rule
+// picks the tier per op — overridable process-wide via GFP_KERNEL_TIER
+// / ForceKernelTier — and ops the chosen tier does not implement fall
+// back to the scalar reference. The scalar tier is the behavioral
+// specification; selftest.go proves the table tier extensionally equal
+// to it.
 //
 // All operations are allocation-free: callers own every buffer.
 
 import "fmt"
-
-// packedMaxM is the largest extension degree whose mul-by-constant rows
-// fit one uint64 (16 products x 4 bits).
-const packedMaxM = 4
 
 // tableMaxM is the largest extension degree for which the flat product
 // table is built (2^m rows of 256 Elem; 128 KiB at m = 8).
 const tableMaxM = 8
 
 // Kernels provides bulk slice operations over one field. Obtain one with
-// Field.Kernels (auto-dispatched across the registered tiers) or
+// Field.Kernels (dispatched by the fixed tier rule) or
 // Field.ScalarKernels (a view pinned to the pure-scalar reference, used
 // by tests and A/B benchmarks). A Kernels is immutable after
 // construction and safe for concurrent use by any number of goroutines.
@@ -42,19 +35,17 @@ const tableMaxM = 8
 type Kernels struct {
 	f     *Field
 	order int
-	base  TierID // the classic tier for the field shape; names Tier()
+	base  TierID // table when the field has one, scalar otherwise; names Tier()
 	pin   TierID // TierAuto unless this view is pinned to one tier
 
 	tiers *[NumTiers]*tierOps // shared between the auto and pinned views
-	sel   *selTable           // calibrated per-op selection (shared)
 
-	mul    []Elem   // table tier's product table (nil on pinned-scalar views)
-	packed []uint64 // packed tier's rows (nil on pinned-scalar views)
+	mul []Elem // table tier's product table (nil on pinned-scalar views)
 }
 
 // Kernels returns the field's bulk-arithmetic kernels, built lazily on
-// first use and cached on the Field. Tier choice is per (op, length),
-// calibrated once per field shape; see tier.go for the override knobs.
+// first use and cached on the Field. Tier choice is per op, by the
+// fixed rule in tier.go.
 func (f *Field) Kernels() *Kernels {
 	f.kernOnce.Do(f.buildKernels)
 	return f.kern
@@ -70,42 +61,24 @@ func (f *Field) ScalarKernels() *Kernels {
 }
 
 func (f *Field) buildKernels() {
-	tiers := new([NumTiers]*tierOps)
-	for id := TierID(0); id < NumTiers; id++ {
-		if b := tierBuilders[id]; b != nil {
-			tiers[id] = b(f)
-		}
-	}
-	if tiers[TierScalar] == nil {
-		panic("gf: scalar tier missing from registry")
-	}
-	base := TierScalar
-	switch {
-	case f.m <= packedMaxM:
-		base = TierPacked
-	case f.m <= tableMaxM:
-		base = TierTable
-	}
-	sel := &selTable{}
-	k := &Kernels{f: f, order: f.order, base: base, pin: TierAuto, tiers: tiers, sel: sel}
+	tiers := &[NumTiers]*tierOps{TierScalar: buildScalarOps(f), TierTable: buildTableOps(f)}
+	k := &Kernels{f: f, order: f.order, base: TierScalar, pin: TierAuto, tiers: tiers}
 	if t := tiers[TierTable]; t != nil {
-		k.mul = t.mul
-	}
-	if t := tiers[TierPacked]; t != nil {
-		k.packed = t.packed
+		k.base, k.mul = TierTable, t.mul
 	}
 	f.kern = k
-	f.scalarKern = &Kernels{f: f, order: f.order, base: TierScalar, pin: TierScalar, tiers: tiers, sel: sel}
+	f.scalarKern = &Kernels{f: f, order: f.order, base: TierScalar, pin: TierScalar, tiers: tiers}
+	publishSelections(k)
 }
 
 // forTier returns a view of k pinned to one tier (ops the tier lacks
 // still fall back to scalar). The differential selftest uses this to
-// drive every registered tier over the same vectors.
+// drive every built tier over the same vectors.
 func (k *Kernels) forTier(t TierID) *Kernels {
 	v := *k
 	v.pin = t
-	if t != TierTable && t != TierPacked {
-		v.mul, v.packed = nil, nil
+	if t != TierTable {
+		v.mul = nil
 	}
 	return &v
 }
@@ -117,7 +90,7 @@ func (k *Kernels) Field() *Field { return k.f }
 // view (false on pinned-scalar views and for fields with m > 8).
 func (k *Kernels) Table() bool { return k.mul != nil }
 
-// AvailableTiers lists the registry names of every tier built for this
+// AvailableTiers lists the names of every tier built for this
 // field, in TierID order. The scalar tier is always present.
 func (k *Kernels) AvailableTiers() []string {
 	var out []string
@@ -129,27 +102,32 @@ func (k *Kernels) AvailableTiers() []string {
 	return out
 }
 
-// tierFor resolves the tier serving op at input length n: instance pin,
-// then process-wide force, then the calibrated selection.
-func (k *Kernels) tierFor(op kernelOp, n int) TierID {
+// ruleTier is the fixed rule for unpinned, unforced calls: the table
+// tier wherever it is built and implements op, scalar otherwise.
+func (k *Kernels) ruleTier(op kernelOp) TierID {
+	if k.tiers[TierTable].supports(op) {
+		return TierTable
+	}
+	return TierScalar
+}
+
+// tierFor resolves the tier serving op: instance pin, then
+// process-wide force, then the fixed rule.
+func (k *Kernels) tierFor(op kernelOp) TierID {
 	if k.pin != TierAuto {
 		return k.pin
 	}
 	if ft := ForcedKernelTier(); ft != TierAuto {
 		return ft
 	}
-	s := k.sel.get(k, op)
-	if n < s.crossover {
-		return s.below
-	}
-	return s.above
+	return k.ruleTier(op)
 }
 
-// dispatch resolves op at length n to a concrete op table, falling back
-// to the scalar reference when the chosen tier lacks the op, and
-// records the hit against the tier that actually serves the call.
-func (k *Kernels) dispatch(op kernelOp, n int) *tierOps {
-	t := k.tierFor(op, n)
+// dispatch resolves op to a concrete op table, falling back to the
+// scalar reference when the chosen tier lacks the op, and records the
+// hit against the tier that actually serves the call.
+func (k *Kernels) dispatch(op kernelOp) *tierOps {
+	t := k.tierFor(op)
 	ops := k.tiers[t]
 	if !ops.supports(op) {
 		t, ops = TierScalar, k.tiers[TierScalar]
@@ -160,7 +138,7 @@ func (k *Kernels) dispatch(op kernelOp, n int) *tierOps {
 
 // baseTier is the tier charged for tier-independent ops (AddSlice,
 // XorSlice, stride copies): the pin or force when set, the field's
-// classic tier otherwise.
+// table tier (scalar above m = 8) otherwise.
 func (k *Kernels) baseTier() TierID {
 	if k.pin != TierAuto {
 		return k.pin
@@ -220,7 +198,7 @@ func (k *Kernels) MulConstSlice(dst, src []Elem, c Elem) {
 		copy(dst, src)
 		return
 	}
-	k.dispatch(opMulConst, len(src)).mulConst(dst, src, c)
+	k.dispatch(opMulConst).mulConst(dst, src, c)
 }
 
 // MulConstAddSlice folds c * src into dst: dst[i] ^= c * src[i] — the
@@ -241,7 +219,7 @@ func (k *Kernels) MulConstAddSlice(dst, src []Elem, c Elem) {
 		}
 		return
 	}
-	k.dispatch(opMulConstAdd, len(src)).mulConstAdd(dst, src, c)
+	k.dispatch(opMulConstAdd).mulConstAdd(dst, src, c)
 }
 
 // DotSlice returns the inner product sum_i a[i]*b[i]. Both slices must
@@ -250,7 +228,7 @@ func (k *Kernels) DotSlice(a, b []Elem) Elem {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("gf: DotSlice length mismatch a=%d b=%d", len(a), len(b)))
 	}
-	return k.dispatch(opDot, len(a)).dot(a, b)
+	return k.dispatch(opDot).dot(a, b)
 }
 
 // HornerSlice evaluates the polynomial whose coefficients are given in
@@ -261,42 +239,39 @@ func (k *Kernels) DotSlice(a, b []Elem) Elem {
 // This is the received-word layout of the RS/BCH codecs and the paper's
 // syndrome recursion S_j <- S_j*alpha^j + R.
 func (k *Kernels) HornerSlice(word []Elem, x Elem) Elem {
-	return k.dispatch(opHorner, len(word)).horner(word, x)
+	return k.dispatch(opHorner).horner(word, x)
 }
 
 // EvalSlice evaluates the polynomial with coeffs[i] the coefficient of
 // x^i (package gfpoly's storage order) at x by Horner's rule.
 func (k *Kernels) EvalSlice(coeffs []Elem, x Elem) Elem {
-	return k.dispatch(opEval, len(coeffs)).eval(coeffs, x)
+	return k.dispatch(opEval).eval(coeffs, x)
 }
 
 // SyndromeSlice sets dst[j] = HornerSlice(word, xs[j]) for every
 // evaluation point — the multi-point syndrome kernel. The table tier
 // runs four independent accumulator chains per pass (the software image
-// of the paper's 4-lane SIMD); the bitsliced tier packs the evaluation
-// points into 64-bit lanes instead. dst and xs must have equal length.
+// of the paper's 4-lane SIMD). dst and xs must have equal length.
 func (k *Kernels) SyndromeSlice(dst []Elem, word []Elem, xs []Elem) {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("gf: SyndromeSlice length mismatch dst=%d xs=%d", len(dst), len(xs)))
 	}
-	k.dispatch(opSyndrome, len(word)).syndrome(dst, word, xs)
+	k.dispatch(opSyndrome).syndrome(dst, word, xs)
 }
 
 // HornerBitSlice is HornerSlice for a binary word stored one bit per
 // byte (values 0/1), the BCH codeword layout.
 func (k *Kernels) HornerBitSlice(bits []byte, x Elem) Elem {
-	return k.dispatch(opHornerBit, len(bits)).hornerBit(bits, x)
+	return k.dispatch(opHornerBit).hornerBit(bits, x)
 }
 
 // SyndromeBitSlice is SyndromeSlice for a binary word stored one bit per
-// byte — the BCH syndrome kernel. For repeated syndrome sets over the
-// same evaluation points prefer NewBitSyndromePlan, which additionally
-// unlocks the carry-less-multiply fold tier.
+// byte — the BCH syndrome kernel.
 func (k *Kernels) SyndromeBitSlice(dst []Elem, bits []byte, xs []Elem) {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("gf: SyndromeBitSlice length mismatch dst=%d xs=%d", len(dst), len(xs)))
 	}
-	k.dispatch(opSyndromeBit, len(bits)).syndromeBit(dst, bits, xs)
+	k.dispatch(opSyndromeBit).syndromeBit(dst, bits, xs)
 }
 
 // LFSR is a multiply-accumulate bank precomputed for one fixed

@@ -24,17 +24,14 @@ func randElems(rng *rand.Rand, f *Field, n int) []Elem {
 	return out
 }
 
-// TestKernelsTierSelection pins the tier choice: packed for m <= 4,
-// table for m <= 8, scalar above.
+// TestKernelsTierSelection pins the tier choice: table for m <= 8,
+// scalar above.
 func TestKernelsTierSelection(t *testing.T) {
 	for m := 2; m <= 8; m++ {
 		f := MustDefault(m)
 		k := f.Kernels()
 		if !k.Table() {
 			t.Errorf("m=%d: table tier expected", m)
-		}
-		if (k.packed != nil) != (m <= packedMaxM) {
-			t.Errorf("m=%d: packed tier = %v, want %v", m, k.packed != nil, m <= packedMaxM)
 		}
 		if f.ScalarKernels().Table() {
 			t.Errorf("m=%d: scalar kernels report table tier", m)
@@ -52,7 +49,7 @@ func TestKernelsTierSelection(t *testing.T) {
 	}
 }
 
-// TestKernelsMulConstExhaustive checks the table/packed product tiers
+// TestKernelsMulConstExhaustive checks the table product tier
 // against Field.Mul over every (c, x) pair for every supported field —
 // exhaustive, since the whole product table is only 2^16 entries even at
 // m = 8.
@@ -163,6 +160,44 @@ func TestKernelsBulkMatchesScalar(t *testing.T) {
 			fast.SyndromeBitSlice(s1, bits, points)
 			ref.SyndromeBitSlice(s2, bits, points)
 			assertEq(t, f, "SyndromeBitSlice", s1, s2)
+		}
+	}
+}
+
+// TestBitslicedSyndromePointCounts checks the batched syndromes — the
+// word-wide SyndromeSlice and the bit-sliced SyndromeBitSlice — at every
+// point count 1..9 (the 4-way accumulator unroll plus each tail length)
+// on the table tier and on the default dispatch, against the scalar
+// reference. m = 16 has no table tier and pins the fallback path.
+func TestBitslicedSyndromePointCounts(t *testing.T) {
+	for _, m := range []int{4, 8, 16} {
+		f := MustDefault(m)
+		ref := f.ScalarKernels()
+		rng := rand.New(rand.NewSource(int64(100 + m)))
+		word := randElems(rng, f, 100)
+		bits := make([]byte, len(word))
+		for i := range bits {
+			bits[i] = byte(rng.Intn(2))
+		}
+		for _, k := range []*Kernels{f.Kernels(), f.Kernels().forTier(TierTable)} {
+			for np := 1; np <= 9; np++ {
+				xs := randElems(rng, f, np)
+				got, want := make([]Elem, np), make([]Elem, np)
+				k.SyndromeSlice(got, word, xs)
+				ref.SyndromeSlice(want, word, xs)
+				for j := range got {
+					if got[j] != want[j] {
+						t.Fatalf("m=%d np=%d: SyndromeSlice[%d] = %d, want %d", m, np, j, got[j], want[j])
+					}
+				}
+				k.SyndromeBitSlice(got, bits, xs)
+				ref.SyndromeBitSlice(want, bits, xs)
+				for j := range got {
+					if got[j] != want[j] {
+						t.Fatalf("m=%d np=%d: SyndromeBitSlice[%d] = %d, want %d", m, np, j, got[j], want[j])
+					}
+				}
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // counting which hardware datapath a GF instruction was issued to. The
 // counters are process-wide so a metrics registry can report how much
 // of the workload ran on each tier without threading a registry into
-// every codec. Alongside the counters, the calibrated per-(field, op)
+// every codec. Alongside the counters, the fixed rule's per-(field, op)
 // tier selections are published for the observability plane.
 
 var tierCalls [NumTiers]atomic.Int64
@@ -19,10 +19,10 @@ var tierCalls [NumTiers]atomic.Int64
 // hit records one bulk-kernel invocation served by tier t.
 func (k *Kernels) hit(t TierID) { tierCalls[t].Add(1) }
 
-// Tier names the classic tier matching this Kernels' field shape
-// ("packed" m <= 4, "table" m <= 8, "scalar" above), or "scalar" on a
-// pinned-scalar view. Per-call dispatch may route individual ops to
-// other tiers; see AvailableTiers and Selections for the full picture.
+// Tier names the tier matching this Kernels' field shape ("table"
+// m <= 8, "scalar" above), or "scalar" on a pinned-scalar view. Ops the
+// table tier lacks still run on scalar; see Selections for the per-op
+// picture.
 func (k *Kernels) Tier() string { return tierNames[k.base] }
 
 // KernelCalls returns the process-wide cumulative number of bulk-kernel
@@ -35,9 +35,10 @@ func KernelCalls() [NumTiers]int64 {
 	return out
 }
 
-// TierSelection is one frozen calibration decision: for (Field, Op),
-// lengths below Crossover are served by tier Below, lengths at or above
-// it by Above (Crossover 0 means Below == Above serves everything).
+// TierSelection is the fixed rule's decision for one (Field, Op): the
+// tier that serves unpinned, unforced calls. The rule does not depend
+// on input length, so Below == Above and Crossover is always 0; the
+// shape is kept for the observability consumers that print it.
 type TierSelection struct {
 	Field     string `json:"field"`
 	Op        string `json:"op"`
@@ -47,20 +48,31 @@ type TierSelection struct {
 }
 
 var (
-	selMu   sync.Mutex
-	selRows []TierSelection
+	selMu     sync.Mutex
+	selShapes = map[uint64]bool{} // m<<32 | poly of every published shape
+	selRows   []TierSelection
 )
 
-// recordSelections publishes one field shape's calibration results.
-func recordSelections(rows []TierSelection) {
+// publishSelections records the rule's rows for k's field shape, once
+// per (m, poly) however many Field values alias it.
+func publishSelections(k *Kernels) {
+	key := uint64(k.f.m)<<32 | uint64(k.f.poly)
 	selMu.Lock()
-	selRows = append(selRows, rows...)
-	selMu.Unlock()
+	defer selMu.Unlock()
+	if selShapes[key] {
+		return
+	}
+	selShapes[key] = true
+	for op := kernelOp(0); op < numOps; op++ {
+		t := k.ruleTier(op).String()
+		selRows = append(selRows, TierSelection{Field: k.f.String(), Op: opNames[op], Below: t, Above: t})
+	}
 }
 
-// Selections returns every calibration decision frozen so far in this
-// process, sorted by field then op. Shapes calibrate lazily on first
-// kernel use, so the list grows as fields come into play.
+// Selections returns the rule's decision for every field shape whose
+// kernels were built so far in this process, sorted by field then op.
+// Kernels build lazily on first use, so the list grows as fields come
+// into play.
 func Selections() []TierSelection {
 	selMu.Lock()
 	out := append([]TierSelection(nil), selRows...)

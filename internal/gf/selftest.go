@@ -3,11 +3,10 @@ package gf
 // Differential kernel verification: the first slice of the roadmap's
 // algebraic self-verification harness. The scalar kernel tier is the
 // behavioral specification (every product routed through Field.Mul);
-// every other registered tier — packed, table, bitsliced, clmul — is an
-// optimization that must be extensionally equal to it. VerifyKernels
-// drives ALL tiers built for the field over the same pseudo-random
-// vectors across every bulk op (including the BitSyndromePlan clmul
-// fold) and reports the first disagreement — production deployments
+// the table tier is an optimization that must be extensionally equal to
+// it. VerifyKernels drives every tier built for the field over the same
+// pseudo-random vectors across every bulk op and reports the first
+// disagreement — production deployments
 // (the gfserved /selftest admin endpoint, the gfproxy health gate) run
 // it before serving traffic, so a corrupted product table or a
 // miscompiled fast path never serves wrong math silently.
@@ -17,13 +16,13 @@ import (
 	"math/rand"
 )
 
-// VerifyKernels differentially checks every registered kernel tier of
-// the field against the scalar reference: vectors pseudo-random input
+// VerifyKernels differentially checks every built kernel tier of the
+// field against the scalar reference: vectors pseudo-random input
 // vectors per (tier, op) — seeded, so failures reproduce — each run
 // through a view of Field.Kernels pinned to the tier under test and
 // through Field.ScalarKernels, compared element-wise. It also checks
-// the auto-dispatched view itself, so whatever mix calibration chose is
-// exercised end to end. It returns nil when every tier agrees on every
+// the auto-dispatched view itself, so the fixed rule's mix is exercised
+// end to end. It returns nil when every tier agrees on every
 // vector, and a descriptive error naming the tier, the op, the vector
 // index and the first mismatching element otherwise.
 func VerifyKernels(f *Field, vectors int, seed int64) error {
@@ -32,21 +31,9 @@ func VerifyKernels(f *Field, vectors int, seed int64) error {
 	}
 	auto, ref := f.Kernels(), f.ScalarKernels()
 
-	// Vector length: one full codeword worth for m=8 (the serving field),
-	// scaled down for narrow fields so every element value still appears,
-	// capped for wide fields (m=16 would otherwise mean 64Ki-symbol
-	// vectors per op per tier).
-	n := f.Order() - 1
-	if n < 8 {
-		n = 8
-	}
-	if n > 1024 {
-		n = 1024
-	}
-
-	// The tiers under test: every registered tier (the scalar tier
-	// checks the reference against itself, proving determinism), plus
-	// the auto view with calibrated dispatch.
+	// The tiers under test: every built tier (the scalar tier checks the
+	// reference against itself, proving determinism), plus the auto view
+	// with rule dispatch.
 	views := []*Kernels{auto}
 	names := []string{"auto"}
 	for id := TierID(0); id < NumTiers; id++ {
@@ -67,6 +54,10 @@ func VerifyKernels(f *Field, vectors int, seed int64) error {
 func verifyTierOnce(f *Field, fast, ref *Kernels, tier string, vectors int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	order := f.Order()
+	// Vector length: one full codeword worth for m=8 (the serving field),
+	// scaled down for narrow fields so every element value still appears,
+	// capped for wide fields (m=16 would otherwise mean 64Ki-symbol
+	// vectors per op per tier).
 	n := order - 1
 	if n < 8 {
 		n = 8
@@ -163,15 +154,6 @@ func verifyTierOnce(f *Field, fast, ref *Kernels, tier string, vectors int, seed
 		fast.SyndromeBitSlice(gs, bits, xs)
 		ref.SyndromeBitSlice(ws, bits, xs)
 		if err := check("SyndromeBitSlice"); err != nil {
-			return err
-		}
-
-		// The precomputed bit-syndrome plan. On the clmul view this pins
-		// the minimal-polynomial fold; elsewhere it exercises the plan's
-		// dispatch back into SyndromeBitSlice.
-		fast.NewBitSyndromePlan(xs).Run(gs, bits)
-		ref.SyndromeBitSlice(ws, bits, xs)
-		if err := check("BitSyndromePlan.Run"); err != nil {
 			return err
 		}
 

@@ -1,35 +1,27 @@
 package gf
 
-// Pluggable kernel-tier registry. The bulk slice layer (kernels.go) no
-// longer hard-wires its implementation choice by field degree: each
-// implementation strategy is a *tier* that registers a per-field op
-// table here, and every exported Kernels operation picks a tier at call
-// time from a per-(field, op, length) selection produced by a one-shot
-// micro-calibration (calibrate.go). This is the software image of the
-// paper's reconfigurable datapath: the same GF instruction can be
-// served by the table-lookup route (the M0+ baseline) or by a computed
-// carry-free route (the gf32bMult-style paths), and the dispatcher
-// picks whichever the measured crossover favors.
+// Kernel tiers. Each exported Kernels operation is served by one of two
+// implementation tiers, bound by a fixed rule rather than measured per
+// process — the software image of the paper binding each GF routine to
+// one datapath configuration when the program is written:
 //
-// Five tiers exist today:
+//	scalar — Field.Mul reference loops; the behavioral specification.
+//	table  — m <= 8, flat product table, one 256-entry row per element
+//	         (the M0+ lookup baseline, four accumulator chains on the
+//	         multi-point syndromes).
 //
-//	scalar    — Field.Mul reference loops; the behavioral specification.
-//	packed    — m <= 4, mul-by-constant rows packed in one uint64.
-//	table     — m <= 8, flat product table, one 256-entry row per element.
-//	bitsliced — 64-bit SWAR lanes, computed xtime steps, no tables
-//	            (bitslice.go).
-//	clmul     — carry-less-multiply routes built on integer multiplies
-//	            (clmul.go), including the Barrett-folded bit-syndrome
-//	            plans and the wide-word Clmul64 feeding gfbig.
+// A call runs on the first of these that applies:
 //
-// A tier may implement any subset of the ops; missing ops fall back to
-// the scalar reference. Selection precedence per call:
+//  1. the tier an instance view is pinned to (Field.ScalarKernels, the
+//     selftest's per-tier views);
+//  2. the process-wide forced tier (GFP_KERNEL_TIER at startup, or
+//     ForceKernelTier);
+//  3. the table tier, when the field has one and it implements the op;
+//  4. otherwise, scalar.
 //
-//  1. an instance pin (Field.ScalarKernels, the selftest's per-tier
-//     views),
-//  2. a process-wide forced tier (GFP_KERNEL_TIER env at startup, or
-//     ForceKernelTier — the -kernel-tier flag of gfpipe/gfserved),
-//  3. the calibrated per-(field, op, length) selection.
+// A pinned or forced tier that lacks the op falls back to scalar. The
+// table tier implements every op except DotSlice, where the scalar
+// log/antilog route is faster (BENCH_15, BenchmarkKernelOps).
 
 import (
 	"fmt"
@@ -37,36 +29,26 @@ import (
 	"sync/atomic"
 )
 
-// TierID identifies one registered kernel implementation tier.
+// TierID identifies one kernel implementation tier.
 type TierID uint8
 
 const (
 	// TierScalar is the pure Field.Mul reference path — always present,
 	// always the fallback for ops a tier does not implement.
 	TierScalar TierID = iota
-	// TierPacked packs each mul-by-constant row into one uint64 (m <= 4).
-	TierPacked
 	// TierTable is the flat product table, one 256-entry row per
 	// element (m <= 8).
 	TierTable
-	// TierBitsliced is the 64-bit SWAR lane tier: computed shift-and-add
-	// multiplication over 8 byte lanes (m <= 8) or 4 halfword lanes
-	// (m <= 16), no tables.
-	TierBitsliced
-	// TierCLMul is the carry-less-multiply tier: products via integer
-	// multiplies with hole masks, reductions via Barrett division — the
-	// software analogue of the paper's gf32bMult datapath.
-	TierCLMul
-	// NumTiers is the number of registered tiers.
+	// NumTiers is the number of tiers.
 	NumTiers
 
-	// TierAuto means "no pin / no force": use the calibrated selection.
+	// TierAuto means "no pin / no force": use the fixed rule.
 	TierAuto TierID = 0xFF
 )
 
-var tierNames = [NumTiers]string{"scalar", "packed", "table", "bitsliced", "clmul"}
+var tierNames = [NumTiers]string{"scalar", "table"}
 
-// String returns the tier's registry name.
+// String returns the tier's name.
 func (t TierID) String() string {
 	if t == TierAuto {
 		return "auto"
@@ -77,14 +59,14 @@ func (t TierID) String() string {
 	return fmt.Sprintf("tier(%d)", uint8(t))
 }
 
-// TierNames returns the registry names of all tiers in TierID order.
+// TierNames returns the names of all tiers in TierID order.
 func TierNames() []string {
 	out := make([]string, NumTiers)
 	copy(out, tierNames[:])
 	return out
 }
 
-// ParseTier maps a registry name (or "auto"/"") to a TierID.
+// ParseTier maps a tier name (or "auto"/"") to a TierID.
 func ParseTier(name string) (TierID, error) {
 	if name == "" || name == "auto" {
 		return TierAuto, nil
@@ -94,7 +76,7 @@ func ParseTier(name string) (TierID, error) {
 			return TierID(i), nil
 		}
 	}
-	return TierAuto, fmt.Errorf("gf: unknown kernel tier %q (want scalar, packed, table, bitsliced, clmul or auto)", name)
+	return TierAuto, fmt.Errorf("gf: unknown kernel tier %q (want scalar, table or auto)", name)
 }
 
 // kernelOp indexes the dispatchable bulk operations. AddSlice/XorSlice
@@ -111,25 +93,18 @@ const (
 	opSyndrome
 	opHornerBit
 	opSyndromeBit
-	// opSyndromeBitFold is the pseudo-op behind BitSyndromePlan.Run: same
-	// semantics as opSyndromeBit but with the clmul minpoly fold as an
-	// extra candidate (the fold needs per-point precomputation a direct
-	// SyndromeBitSlice call cannot amortize, so the two routes calibrate
-	// separately).
-	opSyndromeBitFold
 	numOps
 )
 
 var opNames = [numOps]string{
 	"mulconst", "mulconstadd", "dot", "horner",
-	"eval", "syndrome", "hornerbit", "syndromebit", "syndromebitfold",
+	"eval", "syndrome", "hornerbit", "syndromebit",
 }
 
 // tierOps is the per-field op table one tier builds. A nil function
 // means the tier does not implement that op for this field; the
-// dispatcher falls back to the scalar reference. The table/packed tiers
-// additionally expose their lookup state so the LFSR bank (and the
-// legacy Kernels accessors) can reuse it.
+// dispatcher falls back to the scalar reference. The table tier also
+// exposes its product table so the LFSR bank can reuse it.
 type tierOps struct {
 	mulConst    func(dst, src []Elem, c Elem)
 	mulConstAdd func(dst, src []Elem, c Elem)
@@ -140,8 +115,7 @@ type tierOps struct {
 	hornerBit   func(bits []byte, x Elem) Elem
 	syndromeBit func(dst []Elem, bits []byte, xs []Elem)
 
-	mul    []Elem   // table tier: flat product table (row c at [c<<8:c<<8+256])
-	packed []uint64 // packed tier: one uint64 row per constant
+	mul []Elem // table tier: flat product table (row c at [c<<8:c<<8+256])
 }
 
 // supports reports whether the tier implements op.
@@ -164,24 +138,10 @@ func (t *tierOps) supports(op kernelOp) bool {
 		return t.syndrome != nil
 	case opHornerBit:
 		return t.hornerBit != nil
-	case opSyndromeBit, opSyndromeBitFold:
+	case opSyndromeBit:
 		return t.syndromeBit != nil
 	}
 	return false
-}
-
-// tierBuilders is the registry: one builder per tier, filled by init()
-// in each tier's source file. A builder returns nil when the tier does
-// not support the field at all (e.g. table tiers above m = 8).
-var tierBuilders [NumTiers]func(*Field) *tierOps
-
-// registerTier installs a tier builder. Called from init() only;
-// double registration is a programming error.
-func registerTier(id TierID, build func(*Field) *tierOps) {
-	if tierBuilders[id] != nil {
-		panic(fmt.Sprintf("gf: tier %v registered twice", id))
-	}
-	tierBuilders[id] = build
 }
 
 // forcedTier is the process-wide tier override, stored as int32(TierID).
@@ -201,11 +161,10 @@ func init() {
 // ForceKernelTier forces every auto-dispatched kernel call process-wide
 // onto the given tier (ops the tier does not implement for a field
 // still fall back to the scalar reference). ForceKernelTier(TierAuto)
-// restores calibrated selection. This is the programmatic form of the
-// GFP_KERNEL_TIER environment variable and the -kernel-tier flag of
-// gfpipe/gfserved. Safe for concurrent use.
+// restores the fixed rule. This is the programmatic form of the
+// GFP_KERNEL_TIER environment variable. Safe for concurrent use.
 func ForceKernelTier(t TierID) { forcedTier.Store(int32(t)) }
 
 // ForcedKernelTier returns the current process-wide override, or
-// TierAuto when selection is calibrated.
+// TierAuto when the fixed rule applies.
 func ForcedKernelTier() TierID { return TierID(forcedTier.Load()) }

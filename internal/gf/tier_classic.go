@@ -1,24 +1,15 @@
 package gf
 
-// The three classic tiers, ported from the original fixed-tier Kernels
-// into registry builders:
+// The two kernel tiers:
 //
 //   - scalar: every product through Field.Mul — the behavioral
 //     specification and the universal fallback.
-//   - packed (m <= 4): each mul-by-constant row (<= 16 products of <= 4
-//     bits) packs into a single 64-bit word, so a product is a register
-//     shift+mask with no memory traffic at all — the nibble-split
-//     trick, cousin of the paper's gf32bMult packing.
 //   - table (m <= 8): a flat product table of one 256-entry row per
 //     element (entries past the field order unused); row c is a
 //     *[256]Elem indexed by a byte, so a product is one L1 lookup with
-//     no bounds check in the dependent Horner chains.
-
-func init() {
-	registerTier(TierScalar, buildScalarOps)
-	registerTier(TierPacked, buildPackedOps)
-	registerTier(TierTable, buildTableOps)
-}
+//     no bounds check in the dependent Horner chains. It has no dot
+//     product: two independent operands per term need a row lookup per
+//     term, which loses to the scalar log/antilog route.
 
 func buildScalarOps(f *Field) *tierOps {
 	return &tierOps{
@@ -81,59 +72,6 @@ func buildScalarOps(f *Field) *tierOps {
 	}
 }
 
-func buildPackedOps(f *Field) *tierOps {
-	if f.m > packedMaxM {
-		return nil
-	}
-	packed := make([]uint64, f.order)
-	for c := 0; c < f.order; c++ {
-		var w uint64
-		for x := 0; x < f.order; x++ {
-			w |= uint64(f.Mul(Elem(c), Elem(x))) << (4 * x)
-		}
-		packed[c] = w
-	}
-	return &tierOps{
-		packed: packed,
-		mulConst: func(dst, src []Elem, c Elem) {
-			w := packed[c]
-			for i, s := range src {
-				dst[i] = Elem(w >> (uint(s) * 4) & 0xF)
-			}
-		},
-		mulConstAdd: func(dst, src []Elem, c Elem) {
-			w := packed[c]
-			for i, s := range src {
-				dst[i] ^= Elem(w >> (uint(s) * 4) & 0xF)
-			}
-		},
-		horner: func(word []Elem, x Elem) Elem {
-			w := packed[x]
-			var acc Elem
-			for _, r := range word {
-				acc = Elem(w>>(uint(acc)*4)&0xF) ^ r
-			}
-			return acc
-		},
-		eval: func(coeffs []Elem, x Elem) Elem {
-			w := packed[x]
-			var acc Elem
-			for i := len(coeffs) - 1; i >= 0; i-- {
-				acc = Elem(w>>(uint(acc)*4)&0xF) ^ coeffs[i]
-			}
-			return acc
-		},
-		hornerBit: func(bits []byte, x Elem) Elem {
-			w := packed[x]
-			var acc Elem
-			for _, b := range bits {
-				acc = Elem(w>>(uint(acc)*4)&0xF) ^ Elem(b)
-			}
-			return acc
-		},
-	}
-}
-
 func buildTableOps(f *Field) *tierOps {
 	if f.m > tableMaxM {
 		return nil
@@ -176,13 +114,6 @@ func buildTableOps(f *Field) *tierOps {
 			for i, s := range src {
 				dst[i] ^= r[uint8(s)]
 			}
-		},
-		dot: func(a, b []Elem) Elem {
-			var acc Elem
-			for i := range a {
-				acc ^= row(a[i])[uint8(b[i])]
-			}
-			return acc
 		},
 		horner: func(word []Elem, x Elem) Elem {
 			return hornerRow(word, row(x))

@@ -1,14 +1,15 @@
 package gf
 
 import (
+	"fmt"
 	"testing"
 )
 
 // TestVerifyKernelsAllTiers is the exhaustive differential gate of the
-// tier registry: for EVERY irreducible polynomial of degree 2..8 (all
+// kernel tiers: for EVERY irreducible polynomial of degree 2..8 (all
 // field shapes the codec layer can construct) plus the default
-// degree-16 field, every registered tier must agree with the scalar
-// reference on every bulk op, the bit-syndrome plans included.
+// degree-16 field, every built tier must agree with the scalar
+// reference on every bulk op.
 func TestVerifyKernelsAllTiers(t *testing.T) {
 	for m := 2; m <= 8; m++ {
 		for _, p := range IrreduciblePolys(m) {
@@ -54,8 +55,10 @@ func TestParseTier(t *testing.T) {
 			t.Errorf("ParseTier(%q) = %v, %v; want TierAuto", name, got, err)
 		}
 	}
-	if _, err := ParseTier("simd"); err == nil {
-		t.Error("ParseTier(simd): want error")
+	for _, name := range []string{"simd", "packed", "bitsliced", "clmul"} {
+		if _, err := ParseTier(name); err == nil {
+			t.Errorf("ParseTier(%s): want error", name)
+		}
 	}
 }
 
@@ -64,10 +67,10 @@ func TestAvailableTiers(t *testing.T) {
 		m    int
 		want []string
 	}{
-		{4, []string{"scalar", "packed", "table", "bitsliced", "clmul"}},
-		{8, []string{"scalar", "table", "bitsliced", "clmul"}},
-		{12, []string{"scalar", "bitsliced", "clmul"}},
-		{16, []string{"scalar", "bitsliced", "clmul"}},
+		{4, []string{"scalar", "table"}},
+		{8, []string{"scalar", "table"}},
+		{12, []string{"scalar"}},
+		{16, []string{"scalar"}},
 	}
 	for _, tc := range cases {
 		f, err := NewDefault(tc.m)
@@ -122,7 +125,7 @@ func TestForcedTierRouting(t *testing.T) {
 			}
 		}
 		// The hit lands on the forced tier when it implements the op for
-		// this field, on scalar otherwise (packed is m <= 4 only).
+		// this field, on scalar otherwise.
 		charged := id
 		if k.tiers[id] == nil || !k.tiers[id].supports(opMulConst) {
 			charged = TierScalar
@@ -144,25 +147,96 @@ func TestForcedTierRouting(t *testing.T) {
 	}
 }
 
-// TestTierSelectionShape sanity-checks the calibrated selection: every
-// op resolves to an available tier that supports it (or scalar), at
-// both short and long lengths.
-func TestTierSelectionShape(t *testing.T) {
-	f, err := NewDefault(8)
-	if err != nil {
-		t.Fatal(err)
+// ruleWant is the fixed rule written out independently of the
+// dispatcher: table for every op but dot on m <= 8, scalar otherwise.
+func ruleWant(m int, op string) TierID {
+	if m <= 8 && op != "dot" {
+		return TierTable
 	}
-	k := f.Kernels()
-	for op := kernelOp(0); op < numOps; op++ {
-		for _, n := range []int{1, 16, 63, 255, 4096} {
-			tier := k.tierFor(op, n)
-			if tier == TierAuto || k.tiers[tier] == nil {
-				t.Fatalf("op %s n=%d: resolved to unavailable tier %v", opNames[op], n, tier)
-			}
-			if op != opSyndromeBitFold && !k.tiers[tier].supports(op) && tier != TierScalar {
-				// dispatch() would fall back to scalar; the selection should
-				// not have picked an unsupporting tier in the first place.
-				t.Errorf("op %s n=%d: selection picked %v which lacks the op", opNames[op], n, tier)
+	return TierScalar
+}
+
+// TestTierSelectionShape checks that Selections() reports the fixed
+// rule for every field shape whose kernels were built: one row per op,
+// Below == Above, Crossover 0.
+func TestTierSelectionShape(t *testing.T) {
+	fields := []*Field{AES()}
+	for _, m := range []int{2, 4, 5, 6, 8, 12, 16} {
+		fields = append(fields, MustDefault(m))
+	}
+	for _, f := range fields {
+		f.Kernels()
+	}
+
+	rows := map[string]int{}
+	for _, r := range Selections() {
+		var m int
+		if _, err := fmt.Sscanf(r.Field, "GF(2^%d)", &m); err != nil {
+			t.Fatalf("selection field %q: %v", r.Field, err)
+		}
+		rows[r.Field]++
+		want := ruleWant(m, r.Op).String()
+		if r.Below != want || r.Above != want || r.Crossover != 0 {
+			t.Errorf("%s op %s: selection %+v, want %s for all lengths", r.Field, r.Op, r, want)
+		}
+	}
+	for name, n := range rows {
+		if n != int(numOps) {
+			t.Errorf("%s: %d selection rows, want one per op (%d)", name, n, numOps)
+		}
+	}
+	for _, f := range fields {
+		if rows[f.String()] == 0 {
+			t.Errorf("%s: built kernels but published no selections", f)
+		}
+	}
+}
+
+// TestAutoDispatchRule checks the fixed rule through the tier counters:
+// on m = 4, 5 and 8 the auto view charges table for every op the table
+// tier implements and scalar for DotSlice; on m = 12 and 16 it charges
+// scalar for everything.
+func TestAutoDispatchRule(t *testing.T) {
+	defer ForceKernelTier(ForcedKernelTier())
+	ForceKernelTier(TierAuto)
+	for _, m := range []int{4, 5, 8, 12, 16} {
+		f := MustDefault(m)
+		k := f.Kernels()
+		a, dst := make([]Elem, 8), make([]Elem, 8)
+		bits := make([]byte, 8)
+		for i := range a {
+			a[i] = Elem((i + 1) % f.Order())
+			bits[i] = byte(i & 1)
+		}
+		xs := []Elem{f.Exp(1), f.Exp(2), f.Exp(3)}
+		syn := make([]Elem, len(xs))
+		x := f.Generator()
+		ops := []struct {
+			name string
+			run  func()
+		}{
+			{"mulconst", func() { k.MulConstSlice(dst, a, 2) }},
+			{"mulconstadd", func() { k.MulConstAddSlice(dst, a, 2) }},
+			{"dot", func() { k.DotSlice(a, a) }},
+			{"horner", func() { k.HornerSlice(a, x) }},
+			{"eval", func() { k.EvalSlice(a, x) }},
+			{"syndrome", func() { k.SyndromeSlice(syn, a, xs) }},
+			{"hornerbit", func() { k.HornerBitSlice(bits, x) }},
+			{"syndromebit", func() { k.SyndromeBitSlice(syn, bits, xs) }},
+		}
+		for _, op := range ops {
+			want := ruleWant(m, op.name)
+			before := KernelCalls()
+			op.run()
+			after := KernelCalls()
+			for id := TierID(0); id < NumTiers; id++ {
+				wantHits := int64(0)
+				if id == want {
+					wantHits = 1
+				}
+				if got := after[id] - before[id]; got != wantHits {
+					t.Errorf("m=%d %s: %v charged %d calls, want %d", m, op.name, id, got, wantHits)
+				}
 			}
 		}
 	}

@@ -250,12 +250,10 @@ func xorShifted(r []uint32, w uint32, pos int) {
 	}
 }
 
-// Mul returns the reduced product a*b: full product + Reduce (the
-// paper's "direct product" method). The full-product path is picked by
-// the kernel-tier strategy in clmul64.go — schoolbook 32x32 words or
-// paired 64-bit carry-less limbs — and honors a forced kernel tier
-// (GFP_KERNEL_TIER / gf.ForceKernelTier).
-func (f *Field) Mul(a, b Elem) Elem { return f.Reduce(f.mulFullAuto(a, b)) }
+// Mul returns the reduced product a*b: the schoolbook full product +
+// Reduce (the paper's "direct product" method). It is the reference the
+// allocation-free MulTo (Karatsuba) is checked against.
+func (f *Field) Mul(a, b Elem) Elem { return f.Reduce(f.MulFull(a, b)) }
 
 // SqrFull returns the unreduced square of a: each word's bits spread with
 // interleaved zeros (Fig. 5c), needing no general partial products.

@@ -31,11 +31,8 @@ func TestQuickFieldProperties(t *testing.T) {
 		if !f.IsZero(a) && !f.Equal(f.Mul(a, f.Inv(a)), one) {
 			return false
 		}
-		// Karatsuba and comb agree with schoolbook.
-		if !f.Equal(f.MulKaratsuba(a, b), f.Mul(a, b)) {
-			return false
-		}
-		return f.Equal(f.MulComb(a, b), f.Mul(a, b))
+		// Karatsuba agrees with schoolbook.
+		return f.Equal(f.MulKaratsuba(a, b), f.Mul(a, b))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -3,11 +3,9 @@ package gfbig
 // Allocation-free To-variants: the wide-field mirror of the bulk
 // treatment internal/gf got in PR 3. Each worker owns a Scratch holding
 // every temporary a multiply / square / reduce / invert needs — the
-// full-product accumulator, the Karatsuba arena, the comb window table
-// and the 64-bit limb buffers — so a steady-state ECDSA sign or ECDH
-// derive performs zero heap allocations per request. The strategy
-// dispatch is the same four-way calibrated choice Mul uses
-// (strategy.go), so forced kernel tiers steer the scratch path too.
+// full-product accumulator and the Karatsuba arena — so a steady-state
+// ECDSA sign or ECDH derive performs zero heap allocations per request.
+// MulTo runs the strategy MulStrategy names (strategy.go).
 
 import "math/bits"
 
@@ -15,12 +13,8 @@ import "math/bits"
 // safe for concurrent use; give each worker its own via NewScratch.
 type Scratch struct {
 	f    *Field
-	full []uint32 // 2*words+1: full product + comb shift guard word
+	full []uint32 // 2*words: full product accumulator
 	kar  []uint32 // karatsuba recursion arena
-	comb [16][]uint32
-	la   []uint64 // packed 64-bit limbs of a
-	lb   []uint64 // packed 64-bit limbs of b
-	acc  []uint64 // limb-product accumulator
 	iva  Elem     // inversion: stable copy of the argument
 	ivb  Elem     // inversion: beta accumulator
 	ivt  Elem     // inversion: square-chain temporary
@@ -29,22 +23,14 @@ type Scratch struct {
 // NewScratch allocates working memory for this field's To-variants.
 func (f *Field) NewScratch() *Scratch {
 	w := f.words
-	l := (w + 1) / 2
-	s := &Scratch{
+	return &Scratch{
 		f:    f,
-		full: make([]uint32, 2*w+1),
+		full: make([]uint32, 2*w),
 		kar:  make([]uint32, karatsubaArenaSize(w, karatsubaLevels)),
-		la:   make([]uint64, l),
-		lb:   make([]uint64, l),
-		acc:  make([]uint64, 2*l),
 		iva:  make(Elem, w),
 		ivb:  make(Elem, w),
 		ivt:  make(Elem, w),
 	}
-	for i := range s.comb {
-		s.comb[i] = make([]uint32, w+1)
-	}
-	return s
 }
 
 // Field returns the field this scratch was built for.
@@ -72,7 +58,6 @@ func (f *Field) SquareTo(dst, a Elem, s *Scratch) {
 		s.full[2*i] = lo
 		s.full[2*i+1] = hi
 	}
-	s.full[2*f.words] = 0
 	f.reduceInPlace(s.full)
 	copy(dst, s.full[:f.words])
 }
@@ -81,7 +66,6 @@ func (f *Field) SquareTo(dst, a Elem, s *Scratch) {
 // allocating. full is left unmodified.
 func (f *Field) ReduceTo(dst Elem, full []uint32, s *Scratch) {
 	copy(s.full, full)
-	s.full[2*f.words] = 0
 	f.reduceInPlace(s.full[:len(full)])
 	copy(dst, s.full[:f.words])
 }
@@ -115,21 +99,16 @@ func (f *Field) InvTo(dst, a Elem, s *Scratch) {
 }
 
 // mulFullInto computes the unreduced product of a and b into s.full
-// (2*words + guard word, cleared first) with the given strategy.
+// (cleared first) with the given strategy.
 func (f *Field) mulFullInto(st Strategy, a, b Elem, s *Scratch) {
 	for i := range s.full {
 		s.full[i] = 0
 	}
-	switch st {
-	case StratKaratsuba:
+	if st == StratKaratsuba {
 		karatsubaArena(s.full, a, b, karatsubaLevels, s.kar)
-	case StratComb:
-		f.combInto(a, b, s)
-	case StratCLMul:
-		f.clmulInto(a, b, s)
-	default:
-		schoolbookInto(s.full, a, b)
+		return
 	}
+	schoolbookInto(s.full, a, b)
 }
 
 // reduceInPlace reduces r modulo the field polynomial in place; the
@@ -219,70 +198,6 @@ func karatsubaArena(out []uint32, a, b []uint32, levels int, arena []uint32) {
 	for i, w := range p2 {
 		out[i+h] ^= w
 		out[i+2*h] ^= w
-	}
-}
-
-// combInto is MulFullComb accumulating into s.full (pre-zeroed, with
-// guard word) and building the window table in s.comb.
-func (f *Field) combInto(a, b Elem, s *Scratch) {
-	const w = 4 // window width in bits
-	tab := &s.comb
-	copy(tab[1], b)
-	tab[1][f.words] = 0
-	for u := 2; u < 16; u += 2 {
-		var carry uint32
-		for i, v := range tab[u/2] {
-			tab[u][i] = v<<1 | carry
-			carry = v >> 31
-		}
-		copy(tab[u+1], tab[u])
-		for i := 0; i < f.words; i++ {
-			tab[u+1][i] ^= b[i]
-		}
-	}
-	r := s.full
-	for k := WordBits/w - 1; k >= 0; k-- {
-		for j := 0; j < f.words; j++ {
-			u := a[j] >> (w * k) & 0xF
-			if u != 0 {
-				for i, v := range tab[u] {
-					r[j+i] ^= v
-				}
-			}
-		}
-		if k > 0 {
-			var carry uint32
-			for i, v := range r {
-				r[i] = v<<w | carry
-				carry = v >> (WordBits - w)
-			}
-		}
-	}
-	r[2*f.words] = 0
-}
-
-// clmulInto is MulFullCLMul packing into s's limb buffers and unpacking
-// into s.full (pre-zeroed).
-func (f *Field) clmulInto(a, b Elem, s *Scratch) {
-	pack64Into(s.la, a)
-	pack64Into(s.lb, b)
-	for i := range s.acc {
-		s.acc[i] = 0
-	}
-	clmulAccumulate(s.acc, s.la, s.lb)
-	for i := 0; i < 2*f.words; i++ {
-		s.full[i] = uint32(s.acc[i/2] >> (32 * uint(i&1)))
-	}
-}
-
-// pack64Into packs little-endian 32-bit words into the pre-sized limb
-// buffer dst (len (len(a)+1)/2).
-func pack64Into(dst []uint64, a Elem) {
-	for i := 0; i < len(a)/2; i++ {
-		dst[i] = uint64(a[2*i]) | uint64(a[2*i+1])<<32
-	}
-	if len(a)&1 == 1 {
-		dst[len(dst)-1] = uint64(a[len(a)-1])
 	}
 }
 

@@ -112,7 +112,6 @@ func TestScratchZeroAlloc(t *testing.T) {
 	a, b := es[0], es[1]
 	dst := f.Zero()
 	full := f.MulFull(a, b)
-	f.MulStrategy() // calibrate outside the measured window
 	cases := []struct {
 		name string
 		fn   func()
@@ -131,7 +130,7 @@ func TestScratchZeroAlloc(t *testing.T) {
 }
 
 // TestMulFullIntoEveryStrategyZeroAlloc pins the strategy explicitly so
-// the zero-alloc property holds regardless of what calibration picked.
+// the zero-alloc property holds whatever kernel tier is forced.
 func TestMulFullIntoEveryStrategyZeroAlloc(t *testing.T) {
 	f := F233()
 	s := f.NewScratch()
@@ -183,7 +182,7 @@ func TestSetBytesIntoRoundTrip(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	want := []string{"schoolbook", "karatsuba", "comb", "clmul"}
+	want := []string{"schoolbook", "karatsuba"}
 	got := StrategyNames()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("StrategyNames() = %v, want %v", got, want)
@@ -196,18 +195,19 @@ func TestStrategyNames(t *testing.T) {
 }
 
 func BenchmarkMulToStrategies(b *testing.B) {
-	f := F233()
-	s := f.NewScratch()
-	es := randElems(f, 2, 3)
-	x, y := es[0], es[1]
-	for st := StratSchoolbook; st < NumStrategies; st++ {
-		b.Run(st.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f.mulFullInto(st, x, y, s)
-				f.reduceInPlace(s.full)
-			}
-		})
+	for _, f := range []*Field{F163(), F233(), F283()} {
+		s := f.NewScratch()
+		es := randElems(f, 2, 3)
+		x, y := es[0], es[1]
+		for st := StratSchoolbook; st < NumStrategies; st++ {
+			b.Run(fmt.Sprintf("m=%d/%s", f.M(), st), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					f.mulFullInto(st, x, y, s)
+					f.reduceInPlace(s.full)
+				}
+			})
+		}
 	}
 }
 

@@ -1,19 +1,18 @@
 package gfbig
 
-// Full-product strategy registry for the wide-word fields — the gfbig
-// mirror of the small-field kernel-tier registry in internal/gf. Every
-// full multiplication is served by one of four interchangeable
-// strategies; selection honors a forced kernel tier (GFP_KERNEL_TIER /
-// gf.ForceKernelTier) and otherwise races all strategies once per
-// operand width and caches the winner, exactly like the small-field
-// one-shot calibration.
+// Full-product strategies for the wide-word fields. Two implementations
+// exist and a fixed rule binds them:
+//
+//   - MulTo, the allocation-free path the ECC engine runs, always uses
+//     the paper's two-level Karatsuba decomposition over a scratch
+//     arena;
+//   - Mul, the allocating path, always uses the schoolbook reference.
+//
+// The one exception is the scalar kernel force (GFP_KERNEL_TIER=scalar
+// / gf.ForceKernelTier(gf.TierScalar)), which pins MulTo to schoolbook
+// too, so a forced-scalar run exercises the reference end to end.
 
-import (
-	"sync"
-	"time"
-
-	"repro/internal/gf"
-)
+import "repro/internal/gf"
 
 // Strategy identifies one full-product implementation.
 type Strategy uint8
@@ -23,17 +22,13 @@ const (
 	StratSchoolbook Strategy = iota
 	// StratKaratsuba is the paper's two-level Karatsuba decomposition.
 	StratKaratsuba
-	// StratComb is the 4-bit windowed left-to-right comb (HMV Alg 2.36).
-	StratComb
-	// StratCLMul is the 64-bit carry-less limb path on gf.Clmul64.
-	StratCLMul
-	// NumStrategies is the number of registered strategies.
+	// NumStrategies is the number of strategies.
 	NumStrategies
 )
 
-var strategyNames = [NumStrategies]string{"schoolbook", "karatsuba", "comb", "clmul"}
+var strategyNames = [NumStrategies]string{"schoolbook", "karatsuba"}
 
-// String returns the strategy's registry name.
+// String returns the strategy's name.
 func (s Strategy) String() string {
 	if int(s) < len(strategyNames) {
 		return strategyNames[s]
@@ -41,102 +36,20 @@ func (s Strategy) String() string {
 	return "strategy(?)"
 }
 
-// StrategyNames returns the registry names of all full-product
-// strategies in Strategy order.
+// StrategyNames returns the names of all full-product strategies in
+// Strategy order.
 func StrategyNames() []string { return append([]string(nil), strategyNames[:]...) }
 
-// karatsubaLevels is the recursion depth used by the auto and scratch
-// paths: two levels (8 words -> 4 -> 2 for GF(2^233)), matching the
-// paper's decomposition.
+// karatsubaLevels is the recursion depth of the scratch path: two
+// levels (8 words -> 4 -> 2 for GF(2^233)), matching the paper's
+// decomposition.
 const karatsubaLevels = 2
 
-// stratWins caches the calibrated winner per element word count. Keyed
-// by word count (not by field) because the full product never touches
-// the reduction polynomial, so cost depends only on operand width.
-var stratWins sync.Map // int -> Strategy
-
-// MulStrategy resolves the full-product strategy Mul and the To-variants
-// use for this field: a forced kernel tier pins the path (scalar ->
-// schoolbook, table -> comb, packed/bitsliced -> karatsuba, clmul ->
-// the limb path); in auto mode the calibrated per-width winner runs.
+// MulStrategy returns the full-product strategy MulTo runs for this
+// field: Karatsuba, or schoolbook under the scalar kernel force.
 func (f *Field) MulStrategy() Strategy {
-	switch gf.ForcedKernelTier() {
-	case gf.TierScalar:
+	if gf.ForcedKernelTier() == gf.TierScalar {
 		return StratSchoolbook
-	case gf.TierTable:
-		return StratComb
-	case gf.TierPacked, gf.TierBitsliced:
-		return StratKaratsuba
-	case gf.TierCLMul:
-		return StratCLMul
 	}
-	return f.calibratedStrategy()
-}
-
-// calibratedStrategy returns (racing once per word count) the fastest
-// full-product strategy for this operand width.
-func (f *Field) calibratedStrategy() Strategy {
-	if v, ok := stratWins.Load(f.words); ok {
-		return v.(Strategy)
-	}
-	win := f.raceFullMul()
-	v, _ := stratWins.LoadOrStore(f.words, win)
-	return v.(Strategy)
-}
-
-// mulFullAuto is the strategy dispatch behind Mul.
-func (f *Field) mulFullAuto(a, b Elem) []uint32 {
-	switch f.MulStrategy() {
-	case StratKaratsuba:
-		return f.MulFullKaratsuba(a, b, karatsubaLevels)
-	case StratComb:
-		return f.MulFullComb(a, b)
-	case StratCLMul:
-		return f.MulFullCLMul(a, b)
-	}
-	return f.MulFull(a, b)
-}
-
-// raceFullMul times every strategy on pseudo-random dense operands and
-// returns the fastest.
-func (f *Field) raceFullMul() Strategy {
-	rng := uint64(0x9e3779b97f4a7c15) ^ uint64(f.words)<<32
-	next := func() uint32 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return uint32(rng)
-	}
-	a, b := f.Zero(), f.Zero()
-	for i := range a {
-		a[i], b[i] = next(), next()
-	}
-	candidates := [NumStrategies]func(a, b Elem) []uint32{
-		f.MulFull,
-		func(a, b Elem) []uint32 { return f.MulFullKaratsuba(a, b, karatsubaLevels) },
-		f.MulFullComb,
-		f.MulFullCLMul,
-	}
-	best, bestT := StratSchoolbook, time.Duration(1<<62)
-	for s, fn := range candidates {
-		if t := f.timeFullMul(fn, a, b); t < bestT {
-			best, bestT = Strategy(s), t
-		}
-	}
-	return best
-}
-
-// timeFullMul measures one full-product candidate, growing the
-// iteration count until the window is long enough to trust.
-func (f *Field) timeFullMul(fn func(a, b Elem) []uint32, a, b Elem) time.Duration {
-	const window = 20 * time.Microsecond
-	for iters := 1; ; iters *= 4 {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			fn(a, b)
-		}
-		if el := time.Since(start); el >= window || iters > 1<<20 {
-			return el / time.Duration(iters)
-		}
-	}
+	return StratKaratsuba
 }

@@ -1,18 +1,18 @@
 package gfbig
 
 // Differential verification of the wide-field full-product strategies —
-// the gfbig analogue of gf.VerifyKernels. Every registered strategy
-// (schoolbook, Karatsuba, comb, clmul), in both its allocating and
-// scratch forms, must be bit-identical on random dense operands; the
-// scratch square / reduce / invert paths are checked against their
-// reference counterparts at the same time. gfserved runs this at
-// startup for the ECC curve field and gates /healthz on it, so a
-// backend whose carry-less limb math disagrees with the definitional
-// schoolbook is ejected instead of signing with wrong arithmetic.
+// the gfbig analogue of gf.VerifyKernels. Karatsuba, in both its
+// allocating and scratch (arena) forms, must be bit-identical to the
+// schoolbook reference on random dense operands; the scratch square /
+// reduce / invert paths are checked against their reference
+// counterparts at the same time. gfserved runs this at startup for the
+// ECC curve field and gates /healthz on it, so a backend whose
+// Karatsuba math disagrees with the definitional schoolbook is ejected
+// instead of signing with wrong arithmetic.
 
 import "fmt"
 
-// VerifyMulStrategies cross-checks all full-product strategies on
+// VerifyMulStrategies cross-checks both full-product strategies on
 // vectors random dense operand pairs of this field, deterministically
 // from seed. It returns nil when every strategy agrees bit-for-bit
 // with the schoolbook reference and the scratch To-variants agree with
@@ -41,8 +41,6 @@ func (f *Field) VerifyMulStrategies(vectors int, seed int64) error {
 	strategies := [NumStrategies]func(a, b Elem) []uint32{
 		f.MulFull,
 		func(a, b Elem) []uint32 { return f.MulFullKaratsuba(a, b, karatsubaLevels) },
-		f.MulFullComb,
-		f.MulFullCLMul,
 	}
 	got := f.Zero()
 	for v := 0; v < vectors; v++ {

@@ -107,10 +107,9 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 }
 
 // RegisterGFKernelMetrics registers the process-wide gf bulk-kernel
-// tier counters — one series per registered tier (scalar, packed,
-// table, bitsliced, clmul), labeled with the tier's registry name —
-// plus the active kernel-tier override as a gauge. Call at most once
-// per registry.
+// tier counters — one series per tier (scalar, table), labeled with
+// the tier's name — plus the active kernel-tier override as a gauge.
+// Call at most once per registry.
 func RegisterGFKernelMetrics(reg *obs.Registry) {
 	for i, tier := range gf.TierNames() {
 		id := i
@@ -119,7 +118,7 @@ func RegisterGFKernelMetrics(reg *obs.Registry) {
 			func() int64 { return gf.KernelCalls()[id] }, obs.L("tier", tier))
 	}
 	reg.GaugeFunc("gfp_gf_kernel_tier_forced",
-		"Process-wide forced kernel tier as a TierID (-1 = auto/calibrated).",
+		"Process-wide forced kernel tier as a TierID (0 = scalar, 1 = table, -1 = auto).",
 		func() float64 {
 			if t := gf.ForcedKernelTier(); t != gf.TierAuto {
 				return float64(t)

@@ -12,11 +12,11 @@
 // The hot paths (EncodeTo's LFSR bank, SyndromesTo, the BMA/Chien/
 // Forney slice loops) ride gf.Kernels — the Chien search is one
 // multipoint SyndromeSlice call over all n codeword points — so the
-// serving implementation tier — flat product table, bitsliced SWAR or
-// carry-less multiply — is chosen per (op, length) at runtime and can
-// be pinned process-wide with GFP_KERNEL_TIER / -kernel-tier; every
-// tier is differentially verified against the scalar reference, so
-// codewords are bit-exact regardless (see docs/GF.md).
+// serving implementation tier (the flat product table on GF(2^8)) is
+// bound per op by a fixed rule and can be pinned process-wide with
+// GFP_KERNEL_TIER; every tier is differentially verified against the
+// scalar reference, so codewords are bit-exact regardless (see
+// docs/GF.md).
 //
 // Concurrency: a *Code (and a *Interleaved wrapping it) is immutable
 // after construction — the generator polynomial and the underlying

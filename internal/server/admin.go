@@ -108,9 +108,9 @@ func (s *Server) Healthy() error {
 func (s *Server) Tracer() *pipeline.Tracer { return s.pl.Tracer() }
 
 // Statsz is the /statsz payload: the GFP1 stats-op snapshot plus the
-// full metrics registry, the calibrated GF kernel-tier selections
-// (which implementation tier serves each (field, op) at which lengths)
-// and the slowest traced frames — a superset of what the wire
+// full metrics registry, the GF kernel-tier selections (which
+// implementation tier the fixed rule binds to each (field, op)) and
+// the slowest traced frames — a superset of what the wire
 // protocol's OpStats returns.
 type Statsz struct {
 	*StatsSnapshot

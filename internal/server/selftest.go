@@ -1,9 +1,9 @@
 package server
 
 // Datapath self-verification: a serving process proves its math before
-// reporting healthy. Every registered GF kernel tier (packed rows,
-// product tables, bitsliced SWAR, carry-less multiply) is
-// differentially checked against the scalar reference for both fields
+// reporting healthy. Every GF kernel tier built for a field (the scalar
+// reference and, for m <= 8, the product table) is differentially
+// checked against the scalar reference for both fields
 // the server actually computes in — the RS field and the AES field —
 // via gf.VerifyKernels. The check runs once, lazily, the
 // first time health is probed (gfproxy's health gate therefore admits a
@@ -87,9 +87,9 @@ func runSelfTest(rsField *gf.Field, eccField *gfbig.Field, seed int64) SelfTestR
 			}
 		}
 	}
-	// The ECC ops compute in a big binary field with its own strategy
-	// registry (gfbig); verify every full-product strategy against the
-	// schoolbook reference so /healthz gates on the ECC datapath too.
+	// The ECC ops compute in a big binary field (gfbig); verify the
+	// Karatsuba full product MulTo runs against the schoolbook reference
+	// so /healthz gates on the ECC datapath too.
 	if eccField != nil {
 		res.Fields = append(res.Fields, eccField.String()+" (gfbig)")
 		res.Tiers = append(res.Tiers, strings.Join(gfbig.StrategyNames(), ","))
