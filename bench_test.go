@@ -589,7 +589,7 @@ func BenchmarkWideMulF233(b *testing.B) {
 	x := f.FromUint64(0xDEADBEEF)
 	y := f.Copy(f.FromUint64(0xCAFEF00D))
 	for i := range y {
-		y[i] ^= uint32(i * 0x9E3779B9)
+		y[i] ^= uint32(i) * 0x9E3779B9
 	}
 	y[len(y)-1] &= 1<<(233%32) - 1
 	for i := 0; i < b.N; i++ {

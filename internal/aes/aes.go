@@ -16,9 +16,11 @@
 // Timing: the implementation is validated against the standard library
 // crypto/aes and the FIPS-197 vectors in the tests, but it is not
 // constant time. Encrypt looks up the 256-byte S-box with secret state
-// bytes, and GHASH (gcm.go) looks up a 256-byte per-key table (the 16
-// multiples of H) with nibbles of its running state; a cache-timing
-// observer can learn from either. That is the same class as the
+// bytes, and where the CPU lacks a carry-less multiply instruction (or
+// under the scalar kernel force) GHASH (gcm.go) looks up a 256-byte
+// per-key table (the 16 multiples of H) with nibbles of its running
+// state; a cache-timing observer can learn from either. The hwclmul
+// GHASH has no secret-indexed table. That is the same class as the
 // byte-wise round functions (the S-box and the 256-byte MixColumns
 // coefficient rows), and no table indexed by secret state is larger:
 // there are no 1-4 KB T-tables. Treat the package as a reference

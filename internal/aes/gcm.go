@@ -9,17 +9,30 @@ package aes
 // ECC_l wide multiplications of Section 3.3.4 (internal/kernels/gcm.go
 // models that cost).
 //
-// In software the GHASH multiply is digit-serial: NewGCM tabulates the
-// 16 multiples of H by the 4-bit polynomials (Shoup's table, 256 bytes
-// per key) and each block takes 32 nibble steps — shift the accumulator
-// by x^4, fold the four bits that leave through the sparse reduction,
-// add one table entry — instead of the 128 bit steps of the canonical
-// shift-and-xor multiplier, mulH, which stays as the test reference.
+// NewGCM picks the GHASH multiply once, by the same fixed rule as the
+// wide-field MulTo: where the CPU has the carry-less multiply
+// instruction, one block is a 128x128 carry-less product and a two-step
+// reduction on it (gfbig.GHASHMul, "hwclmul"); otherwise, and under the
+// scalar kernel force, it is digit-serial in Go ("table"): NewGCM
+// tabulates the 16 multiples of H by the 4-bit polynomials (Shoup's
+// table, 256 bytes per key) and each block takes 32 nibble steps —
+// shift the accumulator by x^4, fold the four bits that leave through
+// the sparse reduction, add one table entry — instead of the 128 bit
+// steps of the canonical shift-and-xor multiplier, mulH, which stays as
+// the reference both are tested against.
 
 import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/gfbig"
+)
+
+// GHASH multiply names, as GHASHStrategy reports them.
+const (
+	ghashTable   = "table"
+	ghashHWClmul = "hwclmul"
 )
 
 // gcmTagSize is the full 16-byte authentication tag.
@@ -38,6 +51,8 @@ type GCM struct {
 	// polynomial p_v = v3 + v2·x + v1·x^2 + v0·x^3 (bit 3 of v is x^0,
 	// as in GHASH's bit-reflected encoding). 16 x 16 bytes.
 	htab [16][2]uint64
+	// hw selects the carry-less multiply instruction over htab.
+	hw bool
 }
 
 // NewGCM wraps the cipher in Galois/Counter Mode.
@@ -48,9 +63,19 @@ func (c *Cipher) NewGCM() *GCM {
 		c:  c,
 		h0: binary.BigEndian.Uint64(h[0:8]),
 		h1: binary.BigEndian.Uint64(h[8:16]),
+		hw: gfbig.UseCLMUL(),
 	}
 	g.buildTable()
 	return g
+}
+
+// GHASHStrategy names the GHASH multiply this GCM runs: "hwclmul" (the
+// carry-less multiply instruction) or "table" (the 4-bit table in Go).
+func (g *GCM) GHASHStrategy() string {
+	if g.hw {
+		return ghashHWClmul
+	}
+	return ghashTable
 }
 
 // buildTable fills htab from the subkey (h0, h1).
@@ -121,17 +146,25 @@ func (g *GCM) mul(x0, x1 uint64) (z0, z1 uint64) {
 	return
 }
 
+// mulBlock returns x·H on the multiply NewGCM picked.
+func (g *GCM) mulBlock(x0, x1 uint64) (uint64, uint64) {
+	if g.hw {
+		return gfbig.GHASHMul(x0, x1, g.h0, g.h1)
+	}
+	return g.mul(x0, x1)
+}
+
 // absorb folds data into the running GHASH state y, one block per
 // multiply; a final partial block is zero-padded.
 func (g *GCM) absorb(y0, y1 uint64, data []byte) (uint64, uint64) {
 	for len(data) >= BlockSize {
-		y0, y1 = g.mul(y0^binary.BigEndian.Uint64(data[0:8]), y1^binary.BigEndian.Uint64(data[8:16]))
+		y0, y1 = g.mulBlock(y0^binary.BigEndian.Uint64(data[0:8]), y1^binary.BigEndian.Uint64(data[8:16]))
 		data = data[BlockSize:]
 	}
 	if len(data) > 0 {
 		var blk [BlockSize]byte
 		copy(blk[:], data)
-		y0, y1 = g.mul(y0^binary.BigEndian.Uint64(blk[0:8]), y1^binary.BigEndian.Uint64(blk[8:16]))
+		y0, y1 = g.mulBlock(y0^binary.BigEndian.Uint64(blk[0:8]), y1^binary.BigEndian.Uint64(blk[8:16]))
 	}
 	return y0, y1
 }
@@ -142,7 +175,7 @@ func (g *GCM) absorb(y0, y1 uint64, data []byte) (uint64, uint64) {
 func (g *GCM) tag(dst []byte, j0 *[BlockSize]byte, aad, ct []byte) {
 	y0, y1 := g.absorb(0, 0, aad)
 	y0, y1 = g.absorb(y0, y1, ct)
-	y0, y1 = g.mul(y0^uint64(len(aad))*8, y1^uint64(len(ct))*8)
+	y0, y1 = g.mulBlock(y0^uint64(len(aad))*8, y1^uint64(len(ct))*8)
 	var ek0 [BlockSize]byte
 	g.c.Encrypt(ek0[:], j0[:])
 	binary.BigEndian.PutUint64(dst[0:8], y0^binary.BigEndian.Uint64(ek0[0:8]))
@@ -239,4 +272,46 @@ func (g *GCM) OpenTo(dst, nonce, sealed, aad []byte) ([]byte, error) {
 	ret, out := grow(dst, len(ct))
 	g.gctr(out, ct, &j0)
 	return ret, nil
+}
+
+// GHASHStrategies returns the GHASH multiplies this host can run, in
+// the order VerifyGHASH checks them: "table" always, "hwclmul" where the
+// CPU has the carry-less multiply instruction (whatever the kernel
+// force).
+func GHASHStrategies() []string {
+	if gfbig.HasCLMUL() {
+		return []string{ghashTable, ghashHWClmul}
+	}
+	return []string{ghashTable}
+}
+
+// VerifyGHASH checks every multiply of GHASHStrategies against the
+// bit-serial reference mulH for vectors random subkeys, each on a
+// random block and on the blocks 0, 1 and all ones, deterministically
+// from seed. It returns nil when all agree bit for bit.
+func VerifyGHASH(vectors int, seed int64) error {
+	rng := uint64(seed)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for v := 0; v < vectors; v++ {
+		g := &GCM{h0: next(), h1: next()}
+		g.buildTable()
+		for _, x := range [][2]uint64{{next(), next()}, {0, 0}, {1 << 63, 0}, {^uint64(0), ^uint64(0)}} {
+			w0, w1 := g.mulH(x[0], x[1])
+			if z0, z1 := g.mul(x[0], x[1]); z0 != w0 || z1 != w1 {
+				return fmt.Errorf("aes: GHASH %s multiply differs from the reference (vector %d)", ghashTable, v)
+			}
+			if !gfbig.HasCLMUL() {
+				continue
+			}
+			if z0, z1 := gfbig.GHASHMul(x[0], x[1], g.h0, g.h1); z0 != w0 || z1 != w1 {
+				return fmt.Errorf("aes: GHASH %s multiply differs from the reference (vector %d)", ghashHWClmul, v)
+			}
+		}
+	}
+	return nil
 }

@@ -6,6 +6,9 @@ import (
 	"crypto/cipher"
 	"math/rand"
 	"testing"
+
+	"repro/internal/gf"
+	"repro/internal/gfbig"
 )
 
 func TestGCMMatchesStdlib(t *testing.T) {
@@ -134,6 +137,83 @@ func TestGHASHTableMatchesShiftReference(t *testing.T) {
 	}
 }
 
+// TestGHASHHWClmulMatchesShiftReference: the carry-less multiply
+// instruction's GHASH agrees with mulH on the same subkeys and blocks as
+// the table test above.
+func TestGHASHHWClmulMatchesShiftReference(t *testing.T) {
+	if !gfbig.HasCLMUL() {
+		t.Skip("no carry-less multiply instruction on this host")
+	}
+	rng := rand.New(rand.NewSource(3))
+	hs := [][2]uint64{{1 << 63, 0}, {0, 1}, {1 << 63, 1}, {^uint64(0), ^uint64(0)}}
+	for trial := 0; trial < 20; trial++ {
+		hs = append(hs, [2]uint64{rng.Uint64(), rng.Uint64()})
+	}
+	for _, h := range hs {
+		g := withSubkey(h[0], h[1])
+		xs := [][2]uint64{{0, 0}, {1 << 63, 0}, {0, 1}, {^uint64(0), ^uint64(0)}}
+		for i := 0; i < 50; i++ {
+			xs = append(xs, [2]uint64{rng.Uint64(), rng.Uint64()})
+		}
+		for _, x := range xs {
+			z0, z1 := gfbig.GHASHMul(x[0], x[1], h[0], h[1])
+			w0, w1 := g.mulH(x[0], x[1])
+			if z0 != w0 || z1 != w1 {
+				t.Fatalf("H=%016x%016x x=%016x%016x: hwclmul %016x%016x != reference %016x%016x",
+					h[0], h[1], x[0], x[1], z0, z1, w0, w1)
+			}
+		}
+	}
+}
+
+// TestGHASHStrategyRule: NewGCM runs hwclmul where the host has the
+// instruction and the table under the scalar kernel force; both seal
+// identically.
+func TestGHASHStrategyRule(t *testing.T) {
+	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	c, _ := NewCipher([]byte("0123456789abcdef"))
+	want := ghashTable
+	if gfbig.HasCLMUL() {
+		want = ghashHWClmul
+	}
+	nonce := make([]byte, 12)
+	pt := make([]byte, 100)
+	var sealed [][]byte
+	for _, tc := range []struct {
+		tier gf.TierID
+		want string
+	}{
+		{gf.TierAuto, want},
+		{gf.TierTable, want},
+		{gf.TierScalar, ghashTable},
+	} {
+		gf.ForceKernelTier(tc.tier)
+		g := c.NewGCM()
+		if got := g.GHASHStrategy(); got != tc.want {
+			t.Errorf("force %v: GHASHStrategy() = %q, want %q", tc.tier, got, tc.want)
+		}
+		out, err := g.Seal(nonce, pt, []byte("aad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed = append(sealed, out)
+	}
+	for i := 1; i < len(sealed); i++ {
+		if !bytes.Equal(sealed[i], sealed[0]) {
+			t.Fatalf("seal %d differs from seal 0", i)
+		}
+	}
+	if got := GHASHStrategies(); got[0] != ghashTable || (len(got) == 2) != gfbig.HasCLMUL() {
+		t.Errorf("GHASHStrategies() = %v", got)
+	}
+}
+
+func TestVerifyGHASH(t *testing.T) {
+	if err := VerifyGHASH(64, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // withSubkey returns a GCM (multiply only, no cipher) whose GHASH
 // subkey is (h0, h1), so the table construction sees crafted values.
 func withSubkey(h0, h1 uint64) *GCM {
@@ -235,6 +315,18 @@ func BenchmarkGHASHTable(b *testing.B) {
 	x0, x1 := uint64(0x0123456789abcdef), uint64(0xfedcba9876543210)
 	for i := 0; i < b.N; i++ {
 		x0, x1 = g.mul(x0, x1)
+	}
+}
+
+func BenchmarkGHASHHWClmul(b *testing.B) {
+	if !gfbig.HasCLMUL() {
+		b.Skip("no carry-less multiply instruction on this host")
+	}
+	c, _ := NewCipher(make([]byte, 16))
+	g := c.NewGCM()
+	x0, x1 := uint64(0x0123456789abcdef), uint64(0xfedcba9876543210)
+	for i := 0; i < b.N; i++ {
+		x0, x1 = gfbig.GHASHMul(x0, x1, g.h0, g.h1)
 	}
 }
 

@@ -54,6 +54,11 @@ type Engine struct {
 	fb int // field element wire bytes: ceil(m/8)
 	ob int // scalar wire bytes: ceil(orderBits/8)
 
+	// bOne is set when the curve's b is 1 (the Koblitz curves), so a
+	// ladder doubling skips its multiply by b. It is decided from the
+	// public curve constant, not from secret data.
+	bOne bool
+
 	// Field temporaries: ladder registers, curve checks, parsed points.
 	lx             gfbig.Elem // borrowed: the ladder's base x-coordinate
 	x1, z1, x2, z2 gfbig.Elem
@@ -114,6 +119,7 @@ func (e *Engine) Clone() *Engine {
 func (e *Engine) initScratch() {
 	f := e.c.F
 	e.fs = f.NewScratch()
+	e.bOne = f.Equal(e.c.B, f.One())
 	for _, p := range []*gfbig.Elem{&e.x1, &e.z1, &e.x2, &e.z2, &e.t1, &e.t2, &e.t3, &e.xout, &e.px, &e.py} {
 		*p = f.Zero()
 	}
@@ -252,7 +258,9 @@ func (e *Engine) mDouble(xa, za gfbig.Elem) {
 	f.MulTo(e.t1, xa, za, fs) // Z3
 	f.SquareTo(xa, xa, fs)
 	f.SquareTo(za, za, fs)
-	f.MulTo(za, e.c.B, za, fs)
+	if !e.bOne {
+		f.MulTo(za, e.c.B, za, fs)
+	}
 	f.AddTo(xa, xa, za) // X3
 	copy(za, e.t1)
 }

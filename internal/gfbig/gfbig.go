@@ -6,7 +6,9 @@
 // layout ("8 words with 32 bits/word" for GF(2^233)). Multiplication is
 // built from 32x32 carry-free partial products, the software model of the
 // processor's single-cycle gf32bMult instruction, either schoolbook or
-// with the two-level Karatsuba optimization of Section 3.3.4. Squaring
+// with the two-level Karatsuba optimization of Section 3.3.4; the
+// allocation-free MulTo runs the host's 64-bit carry-less multiply
+// (PCLMULQDQ) where the CPU has it (clmul.go). Squaring
 // spreads bits with zeros (Fig. 5c) so it needs no partial products at
 // all beyond the spread. Inversion uses Itoh-Tsujii addition chains with
 // an extended-Euclid cross-check.
@@ -36,8 +38,9 @@ type Elem []uint32
 type Field struct {
 	m     int
 	words int
-	exps  []int  // the non-leading exponents, descending, last is 0
-	name  string // optional label, e.g. "K-233 field"
+	exps  []int     // the non-leading exponents, descending, last is 0
+	name  string    // optional label, e.g. "K-233 field"
+	fold  *foldPlan // hwclmul's fixed reduction; nil when the field has none (clmul.go)
 }
 
 // New constructs GF(2^m) with reduction polynomial x^m + x^e1 + ... + x^ek,
@@ -68,7 +71,7 @@ func New(m int, exps ...int) (*Field, error) {
 	if !hasZero {
 		return nil, fmt.Errorf("gfbig: polynomial must include the constant term")
 	}
-	return &Field{m: m, words: (m + WordBits - 1) / WordBits, exps: exps}, nil
+	return &Field{m: m, words: (m + WordBits - 1) / WordBits, exps: exps, fold: newFoldPlan(m, (m+WordBits-1)/WordBits, exps)}, nil
 }
 
 // MustNew is New but panics on error.
@@ -252,7 +255,7 @@ func xorShifted(r []uint32, w uint32, pos int) {
 
 // Mul returns the reduced product a*b: the schoolbook full product +
 // Reduce (the paper's "direct product" method). It is the reference the
-// allocation-free MulTo (Karatsuba) is checked against.
+// allocation-free MulTo is checked against.
 func (f *Field) Mul(a, b Elem) Elem { return f.Reduce(f.MulFull(a, b)) }
 
 // SqrFull returns the unreduced square of a: each word's bits spread with

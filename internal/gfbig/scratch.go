@@ -3,9 +3,11 @@ package gfbig
 // Allocation-free To-variants: the wide-field mirror of the bulk
 // treatment internal/gf got in PR 3. Each worker owns a Scratch holding
 // every temporary a multiply / square / reduce / invert needs — the
-// full-product accumulator and the Karatsuba arena — so a steady-state
-// ECDSA sign or ECDH derive performs zero heap allocations per request.
-// MulTo runs the strategy MulStrategy names (strategy.go).
+// schoolbook path's full-product accumulator and the inversion chain's
+// registers; the hwclmul kernel keeps its product in its own stack
+// frame — so a steady-state ECDSA sign or ECDH derive performs zero
+// heap allocations per request. MulTo, SquareTo and InvTo run the
+// strategy MulStrategy names (strategy.go).
 
 import "math/bits"
 
@@ -13,8 +15,7 @@ import "math/bits"
 // safe for concurrent use; give each worker its own via NewScratch.
 type Scratch struct {
 	f    *Field
-	full []uint32 // 2*words: full product accumulator
-	kar  []uint32 // karatsuba recursion arena
+	full []uint32 // 2*words: schoolbook full product accumulator
 	iva  Elem     // inversion: stable copy of the argument
 	ivb  Elem     // inversion: beta accumulator
 	ivt  Elem     // inversion: square-chain temporary
@@ -26,7 +27,6 @@ func (f *Field) NewScratch() *Scratch {
 	return &Scratch{
 		f:    f,
 		full: make([]uint32, 2*w),
-		kar:  make([]uint32, karatsubaArenaSize(w, karatsubaLevels)),
 		iva:  make(Elem, w),
 		ivb:  make(Elem, w),
 		ivt:  make(Elem, w),
@@ -44,15 +44,38 @@ func (f *Field) AddTo(dst, a, b Elem) {
 }
 
 // MulTo sets dst = a*b reduced, allocation-free. dst may alias a or b;
-// the product is accumulated in s and copied out last.
-func (f *Field) MulTo(dst, a, b Elem, s *Scratch) {
-	f.mulFullInto(f.MulStrategy(), a, b, s)
+// the product is accumulated apart from dst and written to it last.
+func (f *Field) MulTo(dst, a, b Elem, s *Scratch) { f.mulTo(f.MulStrategy(), dst, a, b, s) }
+
+// SquareTo sets dst = a^2 reduced, allocation-free. dst may alias a.
+func (f *Field) SquareTo(dst, a Elem, s *Scratch) { f.squareTo(f.MulStrategy(), dst, a, s) }
+
+// InvTo sets dst = a^-1 via the Itoh-Tsujii chain (the same chain as
+// Inv), allocation-free. dst may alias a. It panics if a is zero.
+func (f *Field) InvTo(dst, a Elem, s *Scratch) { f.invTo(f.MulStrategy(), dst, a, s) }
+
+// mulTo is MulTo on the given strategy.
+func (f *Field) mulTo(st Strategy, dst, a, b Elem, s *Scratch) {
+	if st == StratHWClmul {
+		_, _, _ = dst[f.words-1], a[f.words-1], b[f.words-1] // the kernel reads and writes f.words words of each
+		clmulFold(&dst[0], &a[0], &b[0], f.fold)
+		return
+	}
+	for i := range s.full {
+		s.full[i] = 0
+	}
+	schoolbookInto(s.full, a, b)
 	f.reduceInPlace(s.full)
 	copy(dst, s.full[:f.words])
 }
 
-// SquareTo sets dst = a^2 reduced, allocation-free. dst may alias a.
-func (f *Field) SquareTo(dst, a Elem, s *Scratch) {
+// squareTo is SquareTo on the given strategy.
+func (f *Field) squareTo(st Strategy, dst, a Elem, s *Scratch) {
+	if st == StratHWClmul {
+		_, _ = dst[f.words-1], a[f.words-1]
+		clmulFold(&dst[0], &a[0], nil, f.fold)
+		return
+	}
 	for i, w := range a {
 		lo, hi := spread32(w)
 		s.full[2*i] = lo
@@ -70,9 +93,8 @@ func (f *Field) ReduceTo(dst Elem, full []uint32, s *Scratch) {
 	copy(dst, s.full[:f.words])
 }
 
-// InvTo sets dst = a^-1 via the Itoh-Tsujii chain (the same chain as
-// Inv), allocation-free. dst may alias a. It panics if a is zero.
-func (f *Field) InvTo(dst, a Elem, s *Scratch) {
+// invTo is InvTo on the given strategy.
+func (f *Field) invTo(st Strategy, dst, a Elem, s *Scratch) {
 	if f.IsZero(a) {
 		panic("gfbig: inverse of zero")
 	}
@@ -85,30 +107,17 @@ func (f *Field) InvTo(dst, a Elem, s *Scratch) {
 	for i := hb - 1; i >= 0; i-- {
 		copy(tmp, beta)
 		for k := 0; k < cur; k++ {
-			f.SquareTo(tmp, tmp, s)
+			f.squareTo(st, tmp, tmp, s)
 		}
-		f.MulTo(beta, tmp, beta, s)
+		f.mulTo(st, beta, tmp, beta, s)
 		cur *= 2
 		if e>>i&1 == 1 {
-			f.SquareTo(beta, beta, s)
-			f.MulTo(beta, beta, acp, s)
+			f.squareTo(st, beta, beta, s)
+			f.mulTo(st, beta, beta, acp, s)
 			cur++
 		}
 	}
-	f.SquareTo(dst, beta, s)
-}
-
-// mulFullInto computes the unreduced product of a and b into s.full
-// (cleared first) with the given strategy.
-func (f *Field) mulFullInto(st Strategy, a, b Elem, s *Scratch) {
-	for i := range s.full {
-		s.full[i] = 0
-	}
-	if st == StratKaratsuba {
-		karatsubaArena(s.full, a, b, karatsubaLevels, s.kar)
-		return
-	}
-	schoolbookInto(s.full, a, b)
+	f.squareTo(st, dst, beta, s)
 }
 
 // reduceInPlace reduces r modulo the field polynomial in place; the
@@ -136,68 +145,6 @@ func (f *Field) reduceInPlace(r []uint32) {
 				xorShifted(r, wHigh, e)
 			}
 		}
-	}
-}
-
-// karatsubaArenaSize returns the uint32 count karatsubaArena needs for
-// n-word operands at the given recursion depth. Sibling recursions
-// reuse the same sub-arena (they run sequentially), so only the widest
-// child (hw = n - n/2 words) contributes.
-func karatsubaArenaSize(n, levels int) int {
-	if levels <= 0 || n < 2 {
-		return 0
-	}
-	h := n / 2
-	hw := n - h
-	return 6*hw + 2*h + karatsubaArenaSize(hw, levels-1)
-}
-
-// karatsubaArena is karatsuba with all temporaries carved from arena
-// instead of allocated: xors a*b into out (len(out) >= 2n).
-func karatsubaArena(out []uint32, a, b []uint32, levels int, arena []uint32) {
-	n := len(a)
-	if levels <= 0 || n < 2 {
-		schoolbookInto(out, a, b)
-		return
-	}
-	h := n / 2
-	hw := n - h
-	a0, a1 := a[:h], a[h:]
-	b0, b1 := b[:h], b[h:]
-	as := arena[0:hw]
-	bs := arena[hw : 2*hw]
-	p0 := arena[2*hw : 2*hw+2*h]
-	p2 := arena[2*hw+2*h : 2*hw+2*h+2*hw]
-	p1 := arena[2*hw+2*h+2*hw : 2*hw+2*h+4*hw]
-	rest := arena[6*hw+2*h:]
-	copy(as, a1)
-	copy(bs, b1)
-	for i := 0; i < h; i++ {
-		as[i] ^= a0[i]
-		bs[i] ^= b0[i]
-	}
-	for i := range p0 {
-		p0[i] = 0
-	}
-	for i := range p2 {
-		p2[i] = 0
-	}
-	for i := range p1 {
-		p1[i] = 0
-	}
-	karatsubaArena(p0, a0, b0, levels-1, rest)
-	karatsubaArena(p2, a1, b1, levels-1, rest)
-	karatsubaArena(p1, as, bs, levels-1, rest)
-	for i, w := range p0 {
-		out[i] ^= w
-		out[i+h] ^= w
-	}
-	for i, w := range p1 {
-		out[i+h] ^= w
-	}
-	for i, w := range p2 {
-		out[i+h] ^= w
-		out[i+2*h] ^= w
 	}
 }
 

@@ -32,7 +32,8 @@ func randElems(f *Field, n int, seed uint64) []Elem {
 }
 
 // TestScratchVariantsMatchReference checks every To-variant against its
-// allocating counterpart, for every strategy, on every NIST field.
+// allocating counterpart, for every strategy this host runs, on every
+// NIST field.
 func TestScratchVariantsMatchReference(t *testing.T) {
 	for _, f := range testFields() {
 		t.Run(f.String(), func(t *testing.T) {
@@ -42,12 +43,14 @@ func TestScratchVariantsMatchReference(t *testing.T) {
 			for i := 0; i+1 < len(es); i += 2 {
 				a, b := es[i], es[i+1]
 				want := f.Mul(a, b)
-				for st := StratSchoolbook; st < NumStrategies; st++ {
-					f.mulFullInto(st, a, b, s)
-					f.reduceInPlace(s.full)
-					copy(got, s.full[:f.words])
+				for _, st := range f.strategies() {
+					f.mulTo(st, got, a, b, s)
 					if !f.Equal(got, want) {
 						t.Fatalf("%v MulTo mismatch: got %s want %s", st, f.Hex(got), f.Hex(want))
+					}
+					f.squareTo(st, got, a, s)
+					if !f.Equal(got, f.Sqr(a)) {
+						t.Fatalf("%v SquareTo mismatch", st)
 					}
 				}
 				f.SquareTo(got, a, s)
@@ -130,16 +133,19 @@ func TestScratchZeroAlloc(t *testing.T) {
 }
 
 // TestMulFullIntoEveryStrategyZeroAlloc pins the strategy explicitly so
-// the zero-alloc property holds whatever kernel tier is forced.
+// the zero-alloc property holds whatever kernel tier is forced: the
+// multiply, square and inverse of every strategy this host runs.
 func TestMulFullIntoEveryStrategyZeroAlloc(t *testing.T) {
 	f := F233()
 	s := f.NewScratch()
 	es := randElems(f, 2, 13)
 	a, b := es[0], es[1]
-	for st := StratSchoolbook; st < NumStrategies; st++ {
+	dst := f.Zero()
+	for _, st := range f.strategies() {
 		n := testing.AllocsPerRun(20, func() {
-			f.mulFullInto(st, a, b, s)
-			f.reduceInPlace(s.full)
+			f.mulTo(st, dst, a, b, s)
+			f.squareTo(st, dst, a, s)
+			f.invTo(st, dst, a, s)
 		})
 		if n != 0 {
 			t.Errorf("%v: %v allocs/op, want 0", st, n)
@@ -182,7 +188,7 @@ func TestSetBytesIntoRoundTrip(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	want := []string{"schoolbook", "karatsuba"}
+	want := []string{"schoolbook", "hwclmul"}
 	got := StrategyNames()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("StrategyNames() = %v, want %v", got, want)
@@ -199,15 +205,29 @@ func BenchmarkMulToStrategies(b *testing.B) {
 		s := f.NewScratch()
 		es := randElems(f, 2, 3)
 		x, y := es[0], es[1]
-		for st := StratSchoolbook; st < NumStrategies; st++ {
+		dst := f.Zero()
+		for _, st := range f.strategies() {
 			b.Run(fmt.Sprintf("m=%d/%s", f.M(), st), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					f.mulFullInto(st, x, y, s)
-					f.reduceInPlace(s.full)
+					f.mulTo(st, dst, x, y, s)
 				}
 			})
 		}
+	}
+}
+
+func BenchmarkSquareTo(b *testing.B) {
+	f := F233()
+	s := f.NewScratch()
+	x := randElems(f, 1, 4)[0]
+	for _, st := range f.strategies() {
+		b.Run(fmt.Sprintf("m=%d/%s", f.M(), st), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.squareTo(st, x, x, s)
+			}
+		})
 	}
 }
 

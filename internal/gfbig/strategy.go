@@ -1,32 +1,35 @@
 package gfbig
 
-// Full-product strategies for the wide-word fields. Two implementations
+// Multiply strategies for the wide-word fields. Two implementations
 // exist and a fixed rule binds them:
 //
-//   - MulTo, the allocation-free path the ECC engine runs, always uses
-//     the paper's two-level Karatsuba decomposition over a scratch
-//     arena;
-//   - Mul, the allocating path, always uses the schoolbook reference.
+//   - hwclmul: the host's carry-less multiply instruction on 64-bit
+//     limbs plus the field's fixed fold schedule (clmul.go). MulTo,
+//     SquareTo and InvTo run it where CPUID reports PCLMULQDQ and the
+//     field's polynomial reduces in one pass (every NIST field does);
+//   - schoolbook: Words^2 32x32 partial products (Clmul32, the Go model
+//     of gf32bMult), the spread-table square and the generic
+//     reduceInPlace. It is the reference, Mul always runs it, and MulTo
+//     runs it everywhere else.
 //
-// The one exception is the scalar kernel force (GFP_KERNEL_TIER=scalar
-// / gf.ForceKernelTier(gf.TierScalar)), which pins MulTo to schoolbook
-// too, so a forced-scalar run exercises the reference end to end.
+// The scalar kernel force (GFP_KERNEL_TIER=scalar /
+// gf.ForceKernelTier(gf.TierScalar)) pins MulTo to schoolbook too, so
+// a forced-scalar run exercises the Go paths end to end. Nothing is
+// timed: every run on a host makes the same choice (UseCLMUL).
 
-import "repro/internal/gf"
-
-// Strategy identifies one full-product implementation.
+// Strategy identifies one multiply implementation.
 type Strategy uint8
 
 const (
-	// StratSchoolbook is the definitional Words^2 32x32 path (MulFull).
+	// StratSchoolbook is the definitional Go path (MulFull + reduction).
 	StratSchoolbook Strategy = iota
-	// StratKaratsuba is the paper's two-level Karatsuba decomposition.
-	StratKaratsuba
+	// StratHWClmul is the host's carry-less multiply instruction.
+	StratHWClmul
 	// NumStrategies is the number of strategies.
 	NumStrategies
 )
 
-var strategyNames = [NumStrategies]string{"schoolbook", "karatsuba"}
+var strategyNames = [NumStrategies]string{"schoolbook", "hwclmul"}
 
 // String returns the strategy's name.
 func (s Strategy) String() string {
@@ -36,20 +39,41 @@ func (s Strategy) String() string {
 	return "strategy(?)"
 }
 
-// StrategyNames returns the names of all full-product strategies in
+// StrategyNames returns the names of all multiply strategies in
 // Strategy order.
 func StrategyNames() []string { return append([]string(nil), strategyNames[:]...) }
 
-// karatsubaLevels is the recursion depth of the scratch path: two
-// levels (8 words -> 4 -> 2 for GF(2^233)), matching the paper's
-// decomposition.
-const karatsubaLevels = 2
-
-// MulStrategy returns the full-product strategy MulTo runs for this
-// field: Karatsuba, or schoolbook under the scalar kernel force.
+// MulStrategy returns the strategy MulTo, SquareTo and InvTo run for
+// this field: hwclmul where the host has the instruction and the field
+// a one-pass fold schedule, unless the scalar kernel force is set;
+// schoolbook otherwise.
 func (f *Field) MulStrategy() Strategy {
-	if gf.ForcedKernelTier() == gf.TierScalar {
-		return StratSchoolbook
+	if f.fold != nil && UseCLMUL() {
+		return StratHWClmul
 	}
-	return StratKaratsuba
+	return StratSchoolbook
+}
+
+// hwclmul reports whether this host can run the hwclmul strategy for
+// the field.
+func (f *Field) hwclmul() bool { return hasCLMUL && f.fold != nil }
+
+// strategies returns the strategies this host can run for the field, in
+// Strategy order.
+func (f *Field) strategies() []Strategy {
+	if f.hwclmul() {
+		return []Strategy{StratSchoolbook, StratHWClmul}
+	}
+	return []Strategy{StratSchoolbook}
+}
+
+// AvailableStrategies returns the names of the strategies this host can
+// run for the field, whatever the kernel force: the set
+// VerifyMulStrategies checks.
+func (f *Field) AvailableStrategies() []string {
+	var names []string
+	for _, st := range f.strategies() {
+		names = append(names, st.String())
+	}
+	return names
 }

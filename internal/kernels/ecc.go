@@ -295,7 +295,7 @@ func MeasureWideField(c *ecc.Curve, mach Machine) WideFieldBreakdown {
 	b := f.Copy(c.Gx)
 	// densify a across all words
 	for i := range a {
-		a[i] ^= uint32(0x9E3779B9 * (i + 1))
+		a[i] ^= 0x9E3779B9 * uint32(i+1)
 	}
 	top := f.M() % 32
 	if top != 0 {

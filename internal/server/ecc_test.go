@@ -6,9 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/aes"
 	"repro/internal/ecc"
+	"repro/internal/gfbig"
 )
 
 // eccServer starts a server with the ECC service on (default curve) and
@@ -248,13 +251,36 @@ func TestECCSelfTestCoversGfbig(t *testing.T) {
 		t.Fatalf("selftest failed: %s", res.Error)
 	}
 	found := false
-	for _, f := range res.Fields {
-		if f == "GF(2^233) (gfbig)" {
+	for i, f := range res.Fields {
+		switch f {
+		case "GF(2^233) (gfbig)":
 			found = true
+			// The tiers are the strategies actually verified.
+			if want := strings.Join(gfbig.F233().AvailableStrategies(), ","); res.Tiers[i] != want {
+				t.Errorf("gfbig tiers %q, want %q", res.Tiers[i], want)
+			}
+		case "GF(2^128) (GHASH)":
+			if want := strings.Join(aes.GHASHStrategies(), ","); res.Tiers[i] != want {
+				t.Errorf("GHASH tiers %q, want %q", res.Tiers[i], want)
+			}
 		}
 	}
 	if !found {
 		t.Fatalf("selftest fields %v lack the gfbig entry", res.Fields)
+	}
+	if len(res.Tiers) != len(res.Fields) {
+		t.Fatalf("selftest lists %d tiers for %d fields", len(res.Tiers), len(res.Fields))
+	}
+	snap := s.Snapshot()
+	if got, want := snap.Config.ECC.MulStrategy, gfbig.F233().MulStrategy().String(); got != want {
+		t.Errorf("stats mul_strategy %q, want %q", got, want)
+	}
+	wantGHASH := "table"
+	if gfbig.UseCLMUL() {
+		wantGHASH = "hwclmul"
+	}
+	if got := snap.Config.GHASH; got != wantGHASH {
+		t.Errorf("stats ghash %q, want %q", got, wantGHASH)
 	}
 	if err := s.Healthy(); err != nil {
 		t.Fatalf("Healthy: %v", err)

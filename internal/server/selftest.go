@@ -5,7 +5,10 @@ package server
 // reference and, for m <= 8, the product table) is differentially
 // checked against the scalar reference for both fields
 // the server actually computes in — the RS field and the AES field —
-// via gf.VerifyKernels. The check runs once, lazily, the
+// via gf.VerifyKernels; every GHASH multiply the host can run against
+// the bit-serial reference (aes.VerifyGHASH); and, with ECC enabled,
+// every wide-field multiply strategy against schoolbook
+// (gfbig.VerifyMulStrategies). The check runs once, lazily, the
 // first time health is probed (gfproxy's health gate therefore admits a
 // backend into the ring only after its datapath has verified), and can
 // be re-run on demand through the /selftest admin endpoint.
@@ -16,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/aes"
 	"repro/internal/gf"
 	"repro/internal/gfbig"
 )
@@ -87,12 +91,22 @@ func runSelfTest(rsField *gf.Field, eccField *gfbig.Field, seed int64) SelfTestR
 			}
 		}
 	}
-	// The ECC ops compute in a big binary field (gfbig); verify the
-	// Karatsuba full product MulTo runs against the schoolbook reference
-	// so /healthz gates on the ECC datapath too.
+	// GCM's authenticator multiplies in GF(2^128): check each GHASH
+	// multiply the host can run, whichever one NewGCM picked.
+	res.Fields = append(res.Fields, "GF(2^128) (GHASH)")
+	res.Tiers = append(res.Tiers, strings.Join(aes.GHASHStrategies(), ","))
+	if res.OK {
+		if err := aes.VerifyGHASH(selftestVectors, seed); err != nil {
+			res.OK = false
+			res.Error = err.Error()
+		}
+	}
+	// The ECC ops compute in a big binary field (gfbig); verify each
+	// multiply strategy the host can run for it against the schoolbook
+	// reference so /healthz gates on the ECC datapath too.
 	if eccField != nil {
 		res.Fields = append(res.Fields, eccField.String()+" (gfbig)")
-		res.Tiers = append(res.Tiers, strings.Join(gfbig.StrategyNames(), ","))
+		res.Tiers = append(res.Tiers, strings.Join(eccField.AvailableStrategies(), ","))
 		if res.OK {
 			if err := eccField.VerifyMulStrategies(selftestVectors, seed); err != nil {
 				res.OK = false

@@ -133,6 +133,8 @@ type Server struct {
 	st  selftest
 	ctr counters
 	ecc *eccService // nil when Config.Curve is CurveOff
+	// ghash names the GHASH multiply the GCM instance runs.
+	ghash string
 
 	spans    *trace.Ring           // /tracez distributed-trace span ring
 	opLat    [opLatSlots]perf.Hist // end-to-end latency per op
@@ -246,6 +248,7 @@ func New(cfg Config) (*Server, error) {
 		conns:        make(map[*conn]struct{}),
 		dispatchDone: make(chan struct{}),
 		ecc:          eccSvc,
+		ghash:        disp.gcm.GHASHStrategy(),
 		spans:        trace.NewRing(cfg.TraceRing),
 	}
 	go s.dispatch()

@@ -478,7 +478,15 @@ func TestGracefulShutdownDrain(t *testing.T) {
 			}(w)
 		}
 	}
-	started.Wait() // every goroutine is at (or past) its send
+	started.Wait() // every goroutine is running; none need have sent yet
+	// Shutdown must not beat every send: wait until the server has framed
+	// at least one request, which the drain then has to answer.
+	for deadline := time.Now().Add(5 * time.Second); s.Snapshot().Server.Requests < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("no request framed within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -79,6 +79,9 @@ type ConfigInfo struct {
 	Queue      int `json:"queue"`
 	Window     int `json:"window"`
 	MaxPayload int `json:"max_payload"`
+	// GHASH names the GCM authenticator's multiply: "hwclmul" (the
+	// carry-less multiply instruction) or "table" (Go).
+	GHASH string `json:"ghash"`
 	// ECC describes the binary-field ECC service (nil when disabled), so
 	// clients can size derive/sign/verify/session requests by discovery.
 	ECC *ECCInfo `json:"ecc,omitempty"`
@@ -115,6 +118,7 @@ func (s *Server) Snapshot() *StatsSnapshot {
 			FrameK: s.iv.FrameK(), FrameN: s.iv.FrameN(), Batch: s.cfg.Batch,
 			Workers: pcfg.Workers, Queue: pcfg.Queue,
 			Window: s.cfg.Window, MaxPayload: s.cfg.MaxPayload,
+			GHASH: s.ghash,
 		},
 		Server: s.ctr.snapshot(),
 		Total:  s.pl.Total.Summary(),
