@@ -771,10 +771,15 @@ func (p *Proxy) callBackend(b *backend, m *server.Message) (*server.Message, err
 		rm, cerr := cl.Do(&server.Message{Op: m.Op, Flags: m.Flags, Params: m.Params, Payload: m.Payload})
 		done <- callResult{rm, cerr}
 	}()
+	// A stopped timer, not time.After: under the module's go 1.22
+	// timer semantics an unexpired time.After timer is not collected,
+	// so every forward would pin one for the whole ForwardTimeout.
+	timer := time.NewTimer(p.cfg.ForwardTimeout)
+	defer timer.Stop()
 	var r callResult
 	select {
 	case r = <-done:
-	case <-time.After(p.cfg.ForwardTimeout):
+	case <-timer.C:
 		cl.Close() // forces the pending Call to fail promptly
 		r = <-done
 		if r.err != nil {
