@@ -225,9 +225,9 @@ func run(cfg cliConfig, out io.Writer) error {
 		}
 	}
 	snap := s.Snapshot()
-	fmt.Fprintf(w, "gfserved: listening on %s — RS(%d,%d) depth %d, %d workers, window %d, ghash=%s\n",
+	fmt.Fprintf(w, "gfserved: listening on %s — RS(%d,%d) depth %d, %d workers, window %d, ghash=%s, aes=%s\n",
 		s.Addr(), snap.Config.N, snap.Config.K, snap.Config.Depth,
-		snap.Config.Workers, snap.Config.Window, snap.Config.GHASH)
+		snap.Config.Workers, snap.Config.Window, snap.Config.GHASH, snap.Config.AES)
 	if e := snap.Config.ECC; e != nil {
 		fmt.Fprintf(w, "gfserved: ecc on %s (mul=%s) — pub %s\n", e.Curve, e.MulStrategy, e.PublicKey)
 	}

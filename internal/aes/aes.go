@@ -5,26 +5,33 @@
 // required), and MixColumns/InvMixColumns are inner products in
 // GF(2^8)/x^8+x^4+x^3+x+1.
 //
-// Encrypt, the block function behind CTR and GCM, runs on four
-// big-endian column words: SubBytes+ShiftRows are 16 lookups in the
-// 256-byte S-box and MixColumns is 4-lane SWAR xtime, the software image
-// of the paper's 4-way SIMD GF multiply. The exported round functions
-// (SubBytes, ShiftRows, MixColumns, AddRoundKey on State) stay the
-// byte-wise reference that internal/kernels meters and the tests compose
-// into the expected Encrypt output; Decrypt still runs them directly.
+// Encrypt, the block function behind CTR and GCM, has two strategies,
+// picked once per Cipher by the rule gfbig.UseCLMUL sets for the
+// carry-less multiply: where CPUID reports the AES instructions, and
+// the scalar kernel tier is not forced, it runs on them ("aesni",
+// aes_amd64.s), and GCM's counter mode encrypts eight counter blocks per
+// pass there. Otherwise it runs on four big-endian column words ("word"):
+// SubBytes+ShiftRows are 16 lookups in the 256-byte S-box and MixColumns
+// is 4-lane SWAR xtime, the software image of the paper's 4-way SIMD GF
+// multiply. The exported round functions (SubBytes, ShiftRows,
+// MixColumns, AddRoundKey on State) stay the byte-wise reference that
+// internal/kernels meters and that VerifyBlock composes into the
+// expected Encrypt output; Decrypt still runs them directly.
 //
 // Timing: the implementation is validated against the standard library
-// crypto/aes and the FIPS-197 vectors in the tests, but it is not
-// constant time. Encrypt looks up the 256-byte S-box with secret state
-// bytes, and where the CPU lacks a carry-less multiply instruction (or
-// under the scalar kernel force) GHASH (gcm.go) looks up a 256-byte
-// per-key table (the 16 multiples of H) with nibbles of its running
-// state; a cache-timing observer can learn from either. The hwclmul
-// GHASH has no secret-indexed table. That is the same class as the
-// byte-wise round functions (the S-box and the 256-byte MixColumns
-// coefficient rows), and no table indexed by secret state is larger:
-// there are no 1-4 KB T-tables. Treat the package as a reference
-// of the paper's datapath, not a hardened production cipher.
+// crypto/aes and the FIPS-197 vectors in the tests. On the aesni
+// strategy a block has no table lookup and no branch on key or data.
+// The word strategy is not constant time: it looks up the 256-byte
+// S-box with secret state bytes. Where the CPU lacks a carry-less
+// multiply instruction (or under the scalar kernel force) GHASH
+// (gcm.go) looks up a 256-byte per-key table (the 16 multiples of H)
+// with nibbles of its running state; a cache-timing observer can learn
+// from either. The hwclmul GHASH has no secret-indexed table. That is
+// the same class as the byte-wise round functions (the S-box and the
+// 256-byte MixColumns coefficient rows), and no table indexed by secret
+// state is larger: there are no 1-4 KB T-tables. Decrypt always runs
+// the byte-wise rounds. Treat the package as a reference of the paper's
+// datapath, not a hardened production cipher.
 //
 // Concurrency: a *Cipher is immutable once NewCipher has expanded the
 // key schedule, and a *GCM is immutable once NewGCM has derived the
@@ -38,6 +45,7 @@
 package aes
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -108,11 +116,24 @@ func invAffine(b byte) byte {
 	return a ^ 0x05
 }
 
+// Block-encrypt strategies, as BlockStrategy reports them.
+const (
+	blockWord  = "word"
+	blockAESNI = "aesni"
+)
+
+// useAESNI is the rule gfbig.UseCLMUL sets for the carry-less multiply:
+// the AES instructions serve where the CPU has them, unless the scalar
+// kernel tier is forced. Nothing is timed.
+func useAESNI() bool { return hasAESNI && gf.ForcedKernelTier() != gf.TierScalar }
+
 // Cipher is an AES cipher with an expanded key schedule.
 type Cipher struct {
 	rounds int      // 10, 12 or 14
 	enc    [][]byte // rounds+1 round keys of 16 bytes, encryption order
 	encW   []uint32 // the same keys as big-endian column words, 4 per round
+	xk     []byte   // the same keys flattened, for the AES instructions
+	ni     bool     // Encrypt runs on the AES instructions
 }
 
 // NewCipher creates an AES cipher for a 16-, 24- or 32-byte key.
@@ -128,15 +149,26 @@ func NewCipher(key []byte) (*Cipher, error) {
 	default:
 		return nil, fmt.Errorf("aes: invalid key size %d", len(key))
 	}
-	c := &Cipher{rounds: rounds}
+	c := &Cipher{rounds: rounds, ni: useAESNI()}
 	c.enc = expandKey(key, rounds)
 	c.encW = make([]uint32, 0, 4*(rounds+1))
+	c.xk = make([]byte, 0, 16*(rounds+1))
 	for _, rk := range c.enc {
 		for col := 0; col < 16; col += 4 {
 			c.encW = append(c.encW, binary.BigEndian.Uint32(rk[col:]))
 		}
+		c.xk = append(c.xk, rk...)
 	}
 	return c, nil
+}
+
+// BlockStrategy names the block encrypt this Cipher runs: "aesni" (the
+// AES instructions) or "word" (the Go column-word rounds).
+func (c *Cipher) BlockStrategy() string {
+	if c.ni {
+		return blockAESNI
+	}
+	return blockWord
 }
 
 // Rounds returns the number of rounds (10, 12 or 14).
@@ -336,20 +368,28 @@ func mixWithGF(s *State, coeff [4]byte) {
 	}
 }
 
-// Encrypt encrypts one 16-byte block: dst = AES(src). dst and src may
+// Encrypt encrypts one 16-byte block: dst = AES(src), on the AES
+// instructions or the word rounds (BlockStrategy). dst and src may
 // overlap. It panics on short slices like crypto/cipher.Block does.
-//
-// The state is four big-endian column words (row 0 in the top byte), so
-// a round is: SubBytes+ShiftRows as 16 S-box lookups that gather each
-// output column from the diagonal of the input, MixColumns as 4-lane
-// SWAR arithmetic per column (mixColumn), AddRoundKey as four word XORs
-// with the keys NewCipher packed. It equals the composition of the
-// exported round functions (the tests check it against that and against
-// crypto/aes).
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: short block")
 	}
+	if c.ni {
+		encryptBlockAsm(c.rounds, &c.xk[0], &dst[0], &src[0])
+		return
+	}
+	c.encryptWord(dst, src)
+}
+
+// encryptWord is the word strategy of Encrypt. The state is four
+// big-endian column words (row 0 in the top byte), so a round is:
+// SubBytes+ShiftRows as 16 S-box lookups that gather each output column
+// from the diagonal of the input, MixColumns as 4-lane SWAR arithmetic
+// per column (mixColumn), AddRoundKey as four word XORs with the keys
+// NewCipher packed. It equals encryptRounds, the composition of the
+// exported round functions.
+func (c *Cipher) encryptWord(dst, src []byte) {
 	rk := c.encW
 	s0 := binary.BigEndian.Uint32(src[0:4]) ^ rk[0]
 	s1 := binary.BigEndian.Uint32(src[4:8]) ^ rk[1]
@@ -422,3 +462,91 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 
 // BlockSize makes *Cipher satisfy crypto/cipher.Block.
 func (c *Cipher) BlockSize() int { return BlockSize }
+
+// encryptRounds is the byte-wise reference for Encrypt: the FIPS-197
+// cipher composed from the exported round functions on State.
+func encryptRounds(c *Cipher, dst, src []byte) {
+	s := LoadState(src[:16])
+	AddRoundKey(&s, c.enc[0])
+	for r := 1; r < c.rounds; r++ {
+		SubBytes(&s)
+		ShiftRows(&s)
+		MixColumns(&s)
+		AddRoundKey(&s, c.enc[r])
+	}
+	SubBytes(&s)
+	ShiftRows(&s)
+	AddRoundKey(&s, c.enc[c.rounds])
+	copy(dst, s.Bytes())
+}
+
+// BlockStrategies returns the block encrypts this host can run, in the
+// order VerifyBlock checks them: "word" always, "aesni" where the CPU
+// has the AES instructions (whatever the kernel force).
+func BlockStrategies() []string {
+	if hasAESNI {
+		return []string{blockWord, blockAESNI}
+	}
+	return []string{blockWord}
+}
+
+// VerifyBlock checks every strategy of BlockStrategies against
+// encryptRounds for vectors random keys of each size, each on a random
+// block and on the blocks 0 and all ones; where the CPU has the AES
+// instructions it also checks their counter mode against the Go one
+// (gctrWord) on lengths that cross the eight-block stride, end in
+// partial blocks and wrap the 32-bit counter. Inputs derive from seed,
+// so a failure reproduces. It returns nil when all agree bit for bit.
+func VerifyBlock(vectors int, seed int64) error {
+	rng := uint64(seed)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
+	fill := func(b []byte) []byte {
+		for i := range b {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			b[i] = byte(rng >> 56)
+		}
+		return b
+	}
+	want, got := make([]byte, 300), make([]byte, 300)
+	src := fill(make([]byte, 300))
+	for v := 0; v < vectors; v++ {
+		for _, kl := range []int{16, 24, 32} {
+			c, err := NewCipher(fill(make([]byte, kl)))
+			if err != nil {
+				return err
+			}
+			blocks := [][]byte{fill(make([]byte, BlockSize)), make([]byte, BlockSize), bytes.Repeat([]byte{0xff}, BlockSize)}
+			for _, blk := range blocks {
+				encryptRounds(c, want, blk)
+				c.encryptWord(got, blk)
+				if !bytes.Equal(got[:BlockSize], want[:BlockSize]) {
+					return fmt.Errorf("aes: %s block encrypt differs from the round functions (AES-%d, vector %d)", blockWord, 8*kl, v)
+				}
+				if !hasAESNI {
+					continue
+				}
+				encryptBlockAsm(c.rounds, &c.xk[0], &got[0], &blk[0])
+				if !bytes.Equal(got[:BlockSize], want[:BlockSize]) {
+					return fmt.Errorf("aes: %s block encrypt differs from the round functions (AES-%d, vector %d)", blockAESNI, 8*kl, v)
+				}
+			}
+			if !hasAESNI {
+				continue
+			}
+			var j0 [BlockSize]byte
+			fill(j0[:])
+			if v%2 == 1 {
+				j0[12], j0[13], j0[14], j0[15] = 0xff, 0xff, 0xff, byte(0xf0+v%16) // wraps within the lengths below
+			}
+			for _, n := range []int{1, 15, 16, 17, 127, 128, 129, 143, 144, 145, 255, 256, 300} {
+				gctrWord(c, want[:n], src[:n], &j0)
+				gctrNI(c, got[:n], src[:n], &j0)
+				if !bytes.Equal(got[:n], want[:n]) {
+					return fmt.Errorf("aes: %s counter mode differs from %s over %d bytes (AES-%d, vector %d)", blockAESNI, blockWord, n, 8*kl, v)
+				}
+			}
+		}
+	}
+	return nil
+}

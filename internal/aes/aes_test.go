@@ -311,23 +311,6 @@ func TestDecryptIsLeftInverseQuick(t *testing.T) {
 	}
 }
 
-// encryptRounds is the byte-wise reference for Encrypt: the FIPS-197
-// cipher composed from the exported round functions on State.
-func encryptRounds(c *Cipher, dst, src []byte) {
-	s := LoadState(src[:16])
-	AddRoundKey(&s, c.enc[0])
-	for r := 1; r < c.rounds; r++ {
-		SubBytes(&s)
-		ShiftRows(&s)
-		MixColumns(&s)
-		AddRoundKey(&s, c.enc[r])
-	}
-	SubBytes(&s)
-	ShiftRows(&s)
-	AddRoundKey(&s, c.enc[c.rounds])
-	copy(dst, s.Bytes())
-}
-
 func BenchmarkEncryptBlock(b *testing.B) {
 	c, _ := NewCipher(make([]byte, 16))
 	blk := make([]byte, 16)

@@ -182,16 +182,46 @@ func (g *GCM) tag(dst []byte, j0 *[BlockSize]byte, aad, ct []byte) {
 	binary.BigEndian.PutUint64(dst[8:16], y1^binary.BigEndian.Uint64(ek0[8:16]))
 }
 
-// gctr XORs src with the keystream E_K(J0 with counter 2, 3, ...) into
-// dst. dst and src must overlap exactly or not at all.
+// gctr XORs src with the keystream E_K(inc32(J0)), E_K(inc32^2(J0)), ...
+// into dst, where inc32 adds one to the last four bytes of the block
+// modulo 2^32. dst and src must overlap exactly or not at all. It runs
+// on the block strategy of the GCM's cipher.
 func (g *GCM) gctr(dst, src []byte, j0 *[BlockSize]byte) {
+	if g.c.ni {
+		gctrNI(g.c, dst, src, j0)
+		return
+	}
+	gctrWord(g.c, dst, src, j0)
+}
+
+// gctrWord is gctr one block at a time on the word rounds: the
+// reference the AES-instruction counter mode is checked against.
+func gctrWord(c *Cipher, dst, src []byte, j0 *[BlockSize]byte) {
 	ctr := *j0
 	var ks [BlockSize]byte
-	for c := uint32(2); len(src) > 0; c++ {
-		binary.BigEndian.PutUint32(ctr[12:], c)
-		g.c.Encrypt(ks[:], ctr[:])
-		n := subtle.XORBytes(dst, src, ks[:])
-		dst, src = dst[n:], src[n:]
+	for n := binary.BigEndian.Uint32(j0[12:]) + 1; len(src) > 0; n++ {
+		binary.BigEndian.PutUint32(ctr[12:], n)
+		c.encryptWord(ks[:], ctr[:])
+		k := subtle.XORBytes(dst, src, ks[:])
+		dst, src = dst[k:], src[k:]
+	}
+}
+
+// gctrNI is gctr on the AES instructions: the whole blocks in one
+// gctrBlocks call, a final partial block through one block encrypt.
+func gctrNI(c *Cipher, dst, src []byte, j0 *[BlockSize]byte) {
+	ctr := *j0
+	first := binary.BigEndian.Uint32(j0[12:]) + 1
+	binary.BigEndian.PutUint32(ctr[12:], first)
+	full := len(src) / BlockSize
+	if full > 0 {
+		gctrBlocks(c.rounds, &c.xk[0], &ctr, &dst[0], &src[0], full)
+	}
+	if tail := src[full*BlockSize:]; len(tail) > 0 {
+		binary.BigEndian.PutUint32(ctr[12:], first+uint32(full))
+		var ks [BlockSize]byte
+		encryptBlockAsm(c.rounds, &c.xk[0], &ks[0], &ctr[0])
+		subtle.XORBytes(dst[full*BlockSize:], tail, ks[:])
 	}
 }
 

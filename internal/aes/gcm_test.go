@@ -338,3 +338,118 @@ func BenchmarkGHASHShift(b *testing.B) {
 		x0, x1 = g.mulH(x0, x1)
 	}
 }
+
+// withStrategy returns a cipher for key on the named block strategy.
+func withStrategy(t testing.TB, key []byte, strategy string) *Cipher {
+	t.Helper()
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ni = strategy == blockAESNI
+	return c
+}
+
+// TestBlockStrategyRule: NewCipher runs the AES instructions where the
+// host has them and the word rounds under the scalar kernel force; both
+// encrypt and seal identically.
+func TestBlockStrategyRule(t *testing.T) {
+	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	want := blockWord
+	if hasAESNI {
+		want = blockAESNI
+	}
+	key := []byte("0123456789abcdef")
+	nonce := make([]byte, 12)
+	pt := make([]byte, 300)
+	var sealed [][]byte
+	for _, tc := range []struct {
+		tier gf.TierID
+		want string
+	}{
+		{gf.TierAuto, want},
+		{gf.TierTable, want},
+		{gf.TierScalar, blockWord},
+	} {
+		gf.ForceKernelTier(tc.tier)
+		c, _ := NewCipher(key)
+		if got := c.BlockStrategy(); got != tc.want {
+			t.Errorf("force %v: BlockStrategy() = %q, want %q", tc.tier, got, tc.want)
+		}
+		out, err := c.NewGCM().Seal(nonce, pt, []byte("aad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed = append(sealed, out)
+	}
+	for i := 1; i < len(sealed); i++ {
+		if !bytes.Equal(sealed[i], sealed[0]) {
+			t.Fatalf("seal %d differs from seal 0", i)
+		}
+	}
+	if got := BlockStrategies(); got[0] != blockWord || (len(got) == 2) != hasAESNI {
+		t.Errorf("BlockStrategies() = %v", got)
+	}
+}
+
+func TestVerifyBlock(t *testing.T) {
+	if err := VerifyBlock(16, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGCTRCounterWrap: the counter is GCM's inc32 — only the last four
+// bytes count, and they wrap to zero without carrying into the nonce.
+// Starting from a J0 whose counter is 0xFFFFFFFE, each strategy's
+// keystream must equal E_K of the blocks built by hand, over lengths
+// that cross the eight-block stride and end in partial blocks.
+func TestGCTRCounterWrap(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	var j0 [BlockSize]byte
+	copy(j0[:], "wrap-nonce-!")
+	j0[12], j0[13], j0[14], j0[15] = 0xff, 0xff, 0xff, 0xfe
+	ref, _ := stdaes.NewCipher(key)
+	for _, n := range []int{16, 17, 40, 128, 137, 160, 300} {
+		want := make([]byte, n)
+		blk := j0
+		for off, ctr := 0, uint32(0xffffffff); off < n; off, ctr = off+BlockSize, ctr+1 {
+			blk[12], blk[13], blk[14], blk[15] = byte(ctr>>24), byte(ctr>>16), byte(ctr>>8), byte(ctr)
+			var ks [BlockSize]byte
+			ref.Encrypt(ks[:], blk[:])
+			copy(want[off:], ks[:])
+		}
+		for _, strategy := range BlockStrategies() {
+			g := withStrategy(t, key, strategy).NewGCM()
+			got := make([]byte, n)
+			g.gctr(got, make([]byte, n), &j0)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: keystream over %d bytes from counter 0xfffffffe differs from inc32", strategy, n)
+			}
+		}
+	}
+}
+
+// BenchmarkGCMOpen3824 opens the uplink's 3824-byte payload in place,
+// per block strategy. GHASH runs on the host's rule either way.
+func BenchmarkGCMOpen3824(b *testing.B) {
+	for _, strategy := range BlockStrategies() {
+		b.Run(strategy, func(b *testing.B) {
+			g := withStrategy(b, make([]byte, 16), strategy).NewGCM()
+			nonce := make([]byte, 12)
+			sealed, err := g.Seal(nonce, make([]byte, 3824), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, len(sealed))
+			b.SetBytes(3824)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf, sealed)
+				if _, err := g.OpenTo(buf[:0], nonce, buf, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -8,7 +8,8 @@ import (
 
 // BenchmarkKernelOps times every dispatched op on the auto view and on
 // every built tier, for m in {4, 5, 6, 8}, at length 8 and at the full
-// codeword length n = 2^m - 1. The syndrome ops evaluate 16 points.
+// codeword length n = 2^m - 1. The syndrome ops evaluate 16 points;
+// chien searches a degree-8 locator over len points.
 // These rows are the evidence for the fixed rule in tier.go.
 func BenchmarkKernelOps(b *testing.B) {
 	for _, m := range []int{4, 5, 6, 8} {
@@ -34,6 +35,7 @@ func BenchmarkKernelOps(b *testing.B) {
 		}
 		syn, dst := make([]Elem, len(xs)), make([]Elem, n)
 		cst, x := Elem(f.Order()-2), f.Generator()
+		lam, pos := a[:9], make([]int, 0, n)
 		var sink Elem
 		for _, l := range []int{8, n} {
 			ops := []struct {
@@ -48,6 +50,7 @@ func BenchmarkKernelOps(b *testing.B) {
 				{"syndrome", func(v *Kernels) { v.SyndromeSlice(syn, a[:l], xs) }},
 				{"hornerbit", func(v *Kernels) { sink ^= v.HornerBitSlice(bits[:l], x) }},
 				{"syndromebit", func(v *Kernels) { v.SyndromeBitSlice(syn, bits[:l], xs) }},
+				{"chien", func(v *Kernels) { pos = v.ChienRoots(pos[:0], lam, l) }},
 			}
 			for _, op := range ops {
 				for vi, v := range views {

@@ -8,7 +8,8 @@ package gf
 //	scalar — Field.Mul reference loops; the behavioral specification.
 //	table  — m <= 8, flat product table, one 256-entry row per element
 //	         (the M0+ lookup baseline, four accumulator chains on the
-//	         multi-point syndromes).
+//	         multi-point syndromes, a packed term register with
+//	         per-lane step tables for the Chien search).
 //
 // A call runs on the first of these that applies:
 //
@@ -93,12 +94,13 @@ const (
 	opSyndrome
 	opHornerBit
 	opSyndromeBit
+	opChien
 	numOps
 )
 
 var opNames = [numOps]string{
 	"mulconst", "mulconstadd", "dot", "horner",
-	"eval", "syndrome", "hornerbit", "syndromebit",
+	"eval", "syndrome", "hornerbit", "syndromebit", "chien",
 }
 
 // tierOps is the per-field op table one tier builds. A nil function
@@ -114,6 +116,7 @@ type tierOps struct {
 	syndrome    func(dst, word, xs []Elem)
 	hornerBit   func(bits []byte, x Elem) Elem
 	syndromeBit func(dst []Elem, bits []byte, xs []Elem)
+	chien       func(pos []int, lam []Elem, n int) []int
 
 	mul []Elem // table tier: flat product table (row c at [c<<8:c<<8+256])
 }
@@ -140,6 +143,8 @@ func (t *tierOps) supports(op kernelOp) bool {
 		return t.hornerBit != nil
 	case opSyndromeBit:
 		return t.syndromeBit != nil
+	case opChien:
+		return t.chien != nil
 	}
 	return false
 }

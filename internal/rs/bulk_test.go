@@ -2,6 +2,7 @@ package rs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gf"
@@ -120,21 +121,24 @@ func TestSyndromesBulkMatchesScalar(t *testing.T) {
 // produces the same corrections, positions and diagnostics as the
 // polynomial-object reference path (DecodeErasures with no erasures),
 // over error weights 0..t+2 — including the uncorrectable regime, where
-// both must reject.
+// both must reject. On RS(255,239) the weights run to 2t+2 over many
+// more trials, so DecodeTo's linearity check faces the reference's
+// full re-syndrome check on the words past t that reach it.
 func TestDecodeToMatchesDecodeErasures(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, c := range bulkCodes(t) {
+	for ci, c := range bulkCodes(t) {
 		buf := c.NewDecodeBuf()
-		for trial := 0; trial < 60; trial++ {
+		trials, maxErr := 60, c.T+2
+		if ci == 0 { // RS(255,239)
+			trials, maxErr = 3000, 2*c.T+2
+		}
+		for trial := 0; trial < trials; trial++ {
 			msg := bulkRandMsg(rng, c)
 			cw, err := c.Encode(msg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nerr := rng.Intn(c.T + 3)
-			if max := c.N; nerr > max {
-				nerr = max
-			}
+			nerr := min(rng.Intn(maxErr+1), c.N)
 			recv := append([]gf.Elem(nil), cw...)
 			bulkCorrupt(rng, c, recv, nerr)
 
@@ -175,6 +179,97 @@ func TestDecodeToMatchesDecodeErasures(t *testing.T) {
 					if got.Message[i] != msg[i] {
 						t.Fatalf("%v trial %d: message not recovered at %d", c, trial, i)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestRemainderSyndromes: the syndromes DecodeTo takes from the
+// encoder's remainder equal the symbol-at-a-time reference on every code
+// shape (shortened, first root b = 0 and 2, nibble field, and the m > 8
+// scalar route), for codewords, corrupted codewords and random words;
+// the clean report is exactly "all syndromes zero".
+func TestRemainderSyndromes(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, c := range bulkCodes(t) {
+		dst, rem := make([]gf.Elem, 2*c.T), make([]gf.Elem, c.N-c.K)
+		for trial := 0; trial < 60; trial++ {
+			recv, err := c.Encode(bulkRandMsg(rng, c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch trial % 3 {
+			case 1:
+				bulkCorrupt(rng, c, recv, 1+rng.Intn(2*c.T))
+			case 2:
+				for i := range recv {
+					recv[i] = gf.Elem(rng.Intn(c.F.Order()))
+				}
+			}
+			want := c.syndromesScalar(recv)
+			dirty := c.remainderSyndromes(dst, rem, recv)
+			if dirty == AllZero(want) {
+				t.Fatalf("%v trial %d: remainderSyndromes reports dirty=%v, reference syndromes %v", c, trial, dirty, want)
+			}
+			for j := range want {
+				if dst[j] != want[j] {
+					t.Fatalf("%v trial %d: S_%d = %#x, reference %#x", c, trial, j, dst[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestErrorsCancelMatchesResyndrome: DecodeTo's linearity check agrees
+// with the full re-syndrome check it replaces — adding the candidate
+// errors to the word must give all-zero syndromes — for the true error
+// pattern (accept), and for candidates with one value or one position
+// wrong or one error missing (reject), on every code shape. Random words
+// past t almost never reach the check inside DecodeTo (the Chien root
+// count rejects them first), so this drives it directly.
+func TestErrorsCancelMatchesResyndrome(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, c := range bulkCodes(t) {
+		chk := make([]gf.Elem, 2*c.T)
+		for trial := 0; trial < 40; trial++ {
+			recv, err := c.Encode(bulkRandMsg(rng, c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nerr := 1 + rng.Intn(c.T)
+			positions := rng.Perm(c.N)[:nerr]
+			vals := make([]gf.Elem, nerr)
+			for i, idx := range positions {
+				vals[i] = gf.Elem(1 + rng.Intn(c.F.Order()-1))
+				recv[idx] ^= vals[i]
+			}
+			synd := c.syndromesScalar(recv)
+			moved := slices.Clone(positions)
+			moved[0] = (moved[0] + 1 + rng.Intn(c.N-1)) % c.N
+			wrong := slices.Clone(vals)
+			wrong[0] ^= 1
+			for _, cand := range []struct {
+				name string
+				pos  []int
+				v    []gf.Elem
+			}{
+				{"true", positions, vals},
+				{"wrong value", positions, wrong},
+				{"wrong place", moved, vals},
+				{"missing error", positions[1:], vals[1:]},
+			} {
+				name, pos, v := cand.name, cand.pos, cand.v
+				fixed := slices.Clone(recv)
+				for i, idx := range pos {
+					fixed[idx] ^= v[i]
+				}
+				want := AllZero(c.syndromesScalar(fixed))
+				if got := c.errorsCancel(chk, synd, pos, v); got != want {
+					t.Fatalf("%v trial %d, %s candidate: linearity check %v, re-syndrome check %v", c, trial, name, got, want)
+				}
+				if name == "true" && !want {
+					t.Fatalf("%v trial %d: true errors left nonzero syndromes", c, trial)
 				}
 			}
 		}

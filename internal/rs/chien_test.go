@@ -52,8 +52,8 @@ func randomLocator(rng *rand.Rand, c *Code) gfpoly.Poly {
 }
 
 // TestChienMatchesRoots: the one-call Chien search — through
-// ChienSearch and through the DecodeBuf scratch DecodeTo uses — finds
-// exactly the positions brute-force root finding does, on random
+// ChienSearch and through chienTo on DecodeTo's positions scratch —
+// finds exactly the positions brute-force root finding does, on random
 // locators over every code shape (shortened, b = 0, small field, and
 // the m > 8 scalar-tier field).
 func TestChienMatchesRoots(t *testing.T) {
@@ -66,7 +66,7 @@ func TestChienMatchesRoots(t *testing.T) {
 			if got := c.ChienSearch(lam); !slices.Equal(got, want) {
 				t.Fatalf("%v: ChienSearch(%v) = %v, brute force %v", c, lam, got, want)
 			}
-			got := c.chienTo(buf.positions[:0], buf.chien, buf.lamRev[:len(lam.Coeffs)], lam.Coeffs)
+			got := c.chienTo(buf.positions[:0], lam.Coeffs)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%v: chienTo(%v) = %v, brute force %v", c, lam, got, want)
 			}

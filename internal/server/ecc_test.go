@@ -243,14 +243,16 @@ func TestECCIdempotencyTaxonomy(t *testing.T) {
 }
 
 // TestECCSelfTestCoversGfbig: the startup self-test reports the big
-// binary field alongside the byte fields, and health gates on it.
+// binary field and the AES block strategies alongside the byte fields,
+// and health gates on them; /statsz names the multiplies and the block
+// encrypt that serve.
 func TestECCSelfTestCoversGfbig(t *testing.T) {
 	s, _ := eccServer(t, Config{})
 	res := s.SelfTest()
 	if !res.OK {
 		t.Fatalf("selftest failed: %s", res.Error)
 	}
-	found := false
+	found, foundAES := false, false
 	for i, f := range res.Fields {
 		switch f {
 		case "GF(2^233) (gfbig)":
@@ -263,10 +265,15 @@ func TestECCSelfTestCoversGfbig(t *testing.T) {
 			if want := strings.Join(aes.GHASHStrategies(), ","); res.Tiers[i] != want {
 				t.Errorf("GHASH tiers %q, want %q", res.Tiers[i], want)
 			}
+		case "AES block":
+			foundAES = true
+			if want := strings.Join(aes.BlockStrategies(), ","); res.Tiers[i] != want {
+				t.Errorf("AES block tiers %q, want %q", res.Tiers[i], want)
+			}
 		}
 	}
-	if !found {
-		t.Fatalf("selftest fields %v lack the gfbig entry", res.Fields)
+	if !found || !foundAES {
+		t.Fatalf("selftest fields %v lack the gfbig or the AES block entry", res.Fields)
 	}
 	if len(res.Tiers) != len(res.Fields) {
 		t.Fatalf("selftest lists %d tiers for %d fields", len(res.Tiers), len(res.Fields))
@@ -281,6 +288,10 @@ func TestECCSelfTestCoversGfbig(t *testing.T) {
 	}
 	if got := snap.Config.GHASH; got != wantGHASH {
 		t.Errorf("stats ghash %q, want %q", got, wantGHASH)
+	}
+	c, _ := aes.NewCipher(make([]byte, 16))
+	if got, want := snap.Config.AES, c.BlockStrategy(); got != want {
+		t.Errorf("stats aes %q, want %q", got, want)
 	}
 	if err := s.Healthy(); err != nil {
 		t.Fatalf("Healthy: %v", err)

@@ -6,7 +6,10 @@ package server
 // checked against the scalar reference for both fields
 // the server actually computes in — the RS field and the AES field —
 // via gf.VerifyKernels; every GHASH multiply the host can run against
-// the bit-serial reference (aes.VerifyGHASH); and, with ECC enabled,
+// the bit-serial reference (aes.VerifyGHASH); every AES block encrypt
+// the host can run against the byte-wise round functions, with the
+// AES-instruction counter mode against the Go one (aes.VerifyBlock);
+// and, with ECC enabled,
 // every wide-field multiply strategy against schoolbook
 // (gfbig.VerifyMulStrategies). The check runs once, lazily, the
 // first time health is probed (gfproxy's health gate therefore admits a
@@ -97,6 +100,16 @@ func runSelfTest(rsField *gf.Field, eccField *gfbig.Field, seed int64) SelfTestR
 	res.Tiers = append(res.Tiers, strings.Join(aes.GHASHStrategies(), ","))
 	if res.OK {
 		if err := aes.VerifyGHASH(selftestVectors, seed); err != nil {
+			res.OK = false
+			res.Error = err.Error()
+		}
+	}
+	// The GCM ops encrypt on the block strategy NewCipher picked: check
+	// each one the host can run.
+	res.Fields = append(res.Fields, "AES block")
+	res.Tiers = append(res.Tiers, strings.Join(aes.BlockStrategies(), ","))
+	if res.OK {
+		if err := aes.VerifyBlock(selftestVectors, seed); err != nil {
 			res.OK = false
 			res.Error = err.Error()
 		}

@@ -133,8 +133,9 @@ type Server struct {
 	st  selftest
 	ctr counters
 	ecc *eccService // nil when Config.Curve is CurveOff
-	// ghash names the GHASH multiply the GCM instance runs.
-	ghash string
+	// ghash names the GHASH multiply the GCM instance runs, and aes
+	// its block encrypt.
+	ghash, aes string
 
 	spans    *trace.Ring           // /tracez distributed-trace span ring
 	opLat    [opLatSlots]perf.Hist // end-to-end latency per op
@@ -249,6 +250,7 @@ func New(cfg Config) (*Server, error) {
 		dispatchDone: make(chan struct{}),
 		ecc:          eccSvc,
 		ghash:        disp.gcm.GHASHStrategy(),
+		aes:          cipher.BlockStrategy(),
 		spans:        trace.NewRing(cfg.TraceRing),
 	}
 	go s.dispatch()

@@ -82,6 +82,9 @@ type ConfigInfo struct {
 	// GHASH names the GCM authenticator's multiply: "hwclmul" (the
 	// carry-less multiply instruction) or "table" (Go).
 	GHASH string `json:"ghash"`
+	// AES names the block encrypt behind the GCM ops: "aesni" (the AES
+	// instructions) or "word" (Go).
+	AES string `json:"aes"`
 	// ECC describes the binary-field ECC service (nil when disabled), so
 	// clients can size derive/sign/verify/session requests by discovery.
 	ECC *ECCInfo `json:"ecc,omitempty"`
@@ -119,6 +122,7 @@ func (s *Server) Snapshot() *StatsSnapshot {
 			Workers: pcfg.Workers, Queue: pcfg.Queue,
 			Window: s.cfg.Window, MaxPayload: s.cfg.MaxPayload,
 			GHASH: s.ghash,
+			AES:   s.aes,
 		},
 		Server: s.ctr.snapshot(),
 		Total:  s.pl.Total.Summary(),

@@ -8,7 +8,7 @@
 # Usage:
 #   scripts/bench.sh [out.json] [benchtime] [count]
 #
-# Defaults: out=BENCH_16.json, benchtime=0.5s, count=5. Runs from the
+# Defaults: out=BENCH_17.json, benchtime=0.5s, count=5. Runs from the
 # repo root. The benchmark set covers the bulk GF kernel layer and
 # everything built on it: the op x field x tier matrix behind the fixed
 # kernel-tier rule (BenchmarkKernelOps), root RS/GF/pipeline benches
@@ -16,7 +16,9 @@
 # GFTier A/B rows: scalar vs table vs the auto rule), the per-package
 # Bulk-vs-Scalar pairs in internal/rs, internal/bch, internal/aes and
 # the pipeline link chain, the GHASH block multiply per implementation
-# (table, hwclmul, the bit-serial reference), plus the wide-field layer:
+# (table, hwclmul, the bit-serial reference), the AES block encrypt and
+# a 3824-byte GCM open per block strategy (word, aesni), plus the
+# wide-field layer:
 # the gfbig schoolbook and hwclmul strategies through the
 # allocation-free MulTo path at 163, 233 and 283 bits and SquareTo at
 # 233, the allocating schoolbook and Karatsuba full products, and the
@@ -24,12 +26,12 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_16.json}"
+out="${1:-BENCH_17.json}"
 benchtime="${2:-0.5s}"
 count="${3:-5}"
 
 pattern='RSEncode255|RSSyndromes255|RSDecode255|GFKernel|GFMul|GFTier|PipelineRS255_239'
-pkg_pattern='Bulk|Scalar|DecodeTo255|Syndromes63|MixColumns|LinkStages|GHASH'
+pkg_pattern='Bulk|Scalar|DecodeTo255|Syndromes63|MixColumns|LinkStages|GHASH|EncryptBlock|GCMOpen3824'
 ecc_pattern='MulToStrategies|SquareTo|MulFull233|InvTo|ECDHDerive|ECDSASign|ECDSAVerify'
 
 raw="$(mktemp)"
