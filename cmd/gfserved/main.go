@@ -4,7 +4,7 @@
 // plus the binary-field ECC ops (ecdh-derive / ecdsa-sign /
 // ecdsa-verify / secure-session, on -curve) from many concurrent
 // connections, multiplexed into one shared internal/pipeline run and
-// answered out of order by request id.
+// answered in completion order, matched by request id.
 //
 // The codec knobs mirror cmd/gfpipe: one RS(n,k) code over GF(2^8),
 // interleaved to -depth, with per-stage worker pools sized by -workers
@@ -19,7 +19,7 @@
 //	         [-key STRING] [-curve K-233] [-ecc-key STRING]
 //	         [-read-timeout 2m] [-write-timeout 30s]
 //	         [-grace 30s] [-quiet] [-admin ADDR] [-progress DUR]
-//	         [-trace-every 64] [-trace-slowest 16] [-trace-ring 256]
+//	         [-trace-ring 256]
 //	         [-log-format text|json] [-slo SPEC] [-slo-window 1m]
 //	         [-wide-every N]
 //
@@ -71,8 +71,6 @@ type cliConfig struct {
 	quiet        bool
 	adminAddr    string
 	progress     time.Duration
-	traceEvery   int
-	traceSlowest int
 	traceRing    int
 	logFormat    string
 	slo          string
@@ -129,8 +127,6 @@ func main() {
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the final stats snapshot")
 	flag.StringVar(&cfg.adminAddr, "admin", "", "admin HTTP listen address for /metrics, /healthz, /statsz and /debug/pprof (empty = off)")
 	flag.DurationVar(&cfg.progress, "progress", 0, "print a one-line stats summary at this interval (0 = off)")
-	flag.IntVar(&cfg.traceEvery, "trace-every", 64, "sample every Nth frame for lifecycle tracing (1 = all, 0 = off)")
-	flag.IntVar(&cfg.traceSlowest, "trace-slowest", 16, "slowest traced frames kept for /statsz")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 0, "distributed-trace spans retained for /tracez (0 = 256)")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "stderr log format: text or json")
 	flag.StringVar(&cfg.slo, "slo", "", "latency objectives, op=threshold@percent comma-separated (e.g. 'ecdsa-sign=5ms@99.9,default=2ms@99'; empty = off)")
@@ -168,7 +164,6 @@ func run(cfg cliConfig, out io.Writer) error {
 		MaxPayload:  cfg.maxPayload,
 		Window:      cfg.window,
 		ReadTimeout: cfg.readTimeout, WriteTimeout: cfg.writeTimeout,
-		TraceEvery: cfg.traceEvery, TraceSlowest: cfg.traceSlowest,
 		TraceRing: cfg.traceRing,
 		SLO:       obs.NewSLO(objectives, cfg.sloWindow),
 		WideLog:   wideLog,
@@ -259,8 +254,8 @@ func run(cfg cliConfig, out io.Writer) error {
 }
 
 // progressLoop prints one summary line per interval out of the metrics
-// registry: the request ledger, live connections, traced frames and the
-// pipeline p95 latency.
+// registry: the request ledger, live connections and the pipeline p95
+// latency.
 func progressLoop(w io.Writer, reg *obs.Registry, interval time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -277,9 +272,6 @@ func progressLoop(w io.Writer, reg *obs.Registry, interval time.Duration, stop <
 		conns, _ := reg.Value("gfp_server_connections_active")
 		line := fmt.Sprintf("gfserved: req=%.0f resp=%.0f rej=%.0f drop=%.0f conns=%.0f",
 			req, resp, rej, drop, conns)
-		if traced, ok := reg.Value("gfp_pipeline_traced_frames_total"); ok {
-			line += fmt.Sprintf(" traced=%.0f", traced)
-		}
 		if h, ok := reg.HistValue("gfp_pipeline_latency_seconds"); ok && h.Count > 0 {
 			line += fmt.Sprintf(" p95=%s", time.Duration(h.Quantile(0.95)))
 		}

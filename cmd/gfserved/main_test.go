@@ -47,9 +47,10 @@ func waitMatch(t *testing.T, out *lockedBuf, re *regexp.Regexp) string {
 }
 
 // TestServeAdminProgressAndDrain runs the whole daemon in-process:
-// ephemeral data and admin listeners, progress lines on, full-rate
-// tracing — drives traffic, scrapes the admin endpoints, then SIGINTs
-// the process and checks the drain path and final snapshot.
+// ephemeral data and admin listeners, progress lines on — drives
+// traffic, scrapes the admin endpoints (every frame's queue wait is
+// measured), then SIGINTs the process and checks the drain path and
+// final snapshot.
 func TestServeAdminProgressAndDrain(t *testing.T) {
 	out := &lockedBuf{}
 	cfg := cliConfig{
@@ -58,7 +59,6 @@ func TestServeAdminProgressAndDrain(t *testing.T) {
 		readTimeout: time.Minute, writeTimeout: 30 * time.Second,
 		grace:     10 * time.Second,
 		adminAddr: "127.0.0.1:0", progress: 20 * time.Millisecond,
-		traceEvery: 1, traceSlowest: 4,
 	}
 	done := make(chan error, 1)
 	go func() { done <- run(cfg, out) }()
@@ -92,7 +92,8 @@ func TestServeAdminProgressAndDrain(t *testing.T) {
 	}
 	if code, body := get("/metrics"); code != http.StatusOK ||
 		!strings.Contains(body, "gfp_server_requests_total 8") ||
-		!strings.Contains(body, "gfp_pipeline_traced_frames_total 8") {
+		!strings.Contains(body, `gfp_pipeline_stage_queue_wait_seconds_count{stage="codec-dispatch"} 8`) ||
+		!strings.Contains(body, `gfp_pipeline_stage_frames_total{stage="codec-dispatch"} 8`) {
 		t.Errorf("/metrics = %d, missing expected series:\n%s", code, body)
 	}
 	if code, body := get("/statsz"); code != http.StatusOK || !strings.Contains(body, `"metrics"`) {

@@ -259,7 +259,7 @@ func TestChienRootsPlanted(t *testing.T) {
 	fields := append(kernelFields(t), MustDefault(10))
 	for _, f := range fields {
 		for deg := 1; deg <= min(f.N(), chienMaxLanes+6); deg++ {
-			lam := plantedLocator(f, rng, deg, f.N())
+			lam, _ := plantedLocator(f, rng, deg, f.N())
 			for _, n := range []int{f.N(), f.N() - 1} {
 				var want []int
 				for p := 0; p < n; p++ {
@@ -293,7 +293,7 @@ func TestChienRootsConcurrentFirstUse(t *testing.T) {
 	var lams [][]Elem
 	var want [][]int
 	for deg := 8; deg <= chienMaxLanes; deg += 8 {
-		lam := plantedLocator(f, rng, deg, f.N())
+		lam, _ := plantedLocator(f, rng, deg, f.N())
 		lams = append(lams, lam)
 		want = append(want, f.ScalarKernels().ChienRoots(nil, lam, f.N()))
 	}

@@ -158,21 +158,29 @@ func verifyTierOnce(f *Field, fast, ref *Kernels, tier string, vectors int, seed
 		}
 
 		// Chien search over n points: a locator with roots planted at
-		// random points, and the random vector as a locator with chance
-		// roots. The degree cycles over the vectors through one packed
+		// random points, whose roots are known, and the random vector as
+		// a locator with chance roots, which only the scalar search can
+		// tell. The degree cycles over the vectors through one packed
 		// word, two, five, and more than the packed lanes.
 		deg := [...]int{1 + rng.Intn(8), 9 + rng.Intn(8), 40, 70}[vi%4]
-		lam := plantedLocator(f, rng, deg, n)
-		for _, l := range [][]Elem{lam, a[:min(deg+1, n)]} {
-			gp, wp := fast.ChienRoots(nil, l, n), ref.ChienRoots(nil, l, n)
-			if len(gp) != len(wp) {
-				return fmt.Errorf("gf: selftest %s/%s: vector %d: ChienRoots(degree %d) found %d roots, scalar reference %d",
-					f, tier, vi, len(l)-1, len(gp), len(wp))
+		lam, planted := plantedLocator(f, rng, deg, n)
+		chance := a[:min(deg+1, n)]
+		for _, c := range []struct {
+			lam []Elem
+			wp  []int // the planted roots, or the scalar search's
+		}{
+			{lam, plantedRoots(f, planted, n)},
+			{chance, ref.ChienRoots(nil, chance, n)},
+		} {
+			gp := fast.ChienRoots(nil, c.lam, n)
+			if len(gp) != len(c.wp) {
+				return fmt.Errorf("gf: selftest %s/%s: vector %d: ChienRoots(degree %d) found %d roots, want %d",
+					f, tier, vi, len(c.lam)-1, len(gp), len(c.wp))
 			}
 			for i := range gp {
-				if gp[i] != wp[i] {
-					return fmt.Errorf("gf: selftest %s/%s: vector %d: ChienRoots(degree %d) root %d at point %d, scalar reference %d",
-						f, tier, vi, len(l)-1, i, gp[i], wp[i])
+				if gp[i] != c.wp[i] {
+					return fmt.Errorf("gf: selftest %s/%s: vector %d: ChienRoots(degree %d) root %d at point %d, want %d",
+						f, tier, vi, len(c.lam)-1, i, gp[i], c.wp[i])
 				}
 			}
 		}
@@ -193,17 +201,36 @@ func verifyTierOnce(f *Field, fast, ref *Kernels, tier string, vectors int, seed
 
 // plantedLocator returns prod (1 - alpha^p x) over up to deg distinct
 // points p < min(n, 2^m-1): a locator whose Chien roots are known to
-// lie at those points.
-func plantedLocator(f *Field, rng *rand.Rand, deg, n int) []Elem {
+// lie at those points, which it returns too.
+func plantedLocator(f *Field, rng *rand.Rand, deg, n int) (lam []Elem, points []int) {
 	n = min(n, f.N())
 	deg = min(deg, n)
-	lam := make([]Elem, deg+1)
+	lam = make([]Elem, deg+1)
 	lam[0] = 1
-	for i, p := range rng.Perm(n)[:deg] {
+	points = rng.Perm(n)[:deg]
+	for i, p := range points {
 		x := f.Exp(p)
 		for j := i + 1; j >= 1; j-- {
 			lam[j] ^= f.Mul(x, lam[j-1])
 		}
 	}
-	return lam
+	return lam, points
+}
+
+// plantedRoots returns, ascending, the positions p < n a Chien search
+// over n points must report for a locator planted at points: alpha^-p
+// repeats every 2^m-1 positions, so a search longer than that (narrow
+// fields) sees each planted root again.
+func plantedRoots(f *Field, points []int, n int) []int {
+	root := make([]bool, f.N())
+	for _, p := range points {
+		root[p] = true
+	}
+	var pos []int
+	for p := 0; p < n; p++ {
+		if root[p%f.N()] {
+			pos = append(pos, p)
+		}
+	}
+	return pos
 }

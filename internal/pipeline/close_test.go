@@ -117,3 +117,17 @@ func TestSubmitCheckedRacesClose(t *testing.T) {
 		t.Fatalf("accepted %d + rejected %d != %d", accepted, rejected, submitters*perSubmitter)
 	}
 }
+
+// TestRunClosed pins the Closed() accessor.
+func TestRunClosed(t *testing.T) {
+	p := Must(Config{Workers: 1}, Func{Label: "nop", F: func(f *Frame) error { return nil }})
+	run := p.Start()
+	if run.Closed() {
+		t.Error("fresh run reports closed")
+	}
+	run.Close()
+	if !run.Closed() {
+		t.Error("closed run reports open")
+	}
+	run.Wait()
+}

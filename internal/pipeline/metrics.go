@@ -10,9 +10,8 @@ import (
 
 // RegisterMetrics registers every stage's live stats with reg as
 // read-through instruments under the gfp_pipeline_* and gfp_model_*
-// names, plus the tracer's queue-wait/service histograms when tracing
-// is enabled. Call once per pipeline per registry; stages sharing a
-// name are disambiguated with a "#index" suffix on the stage label.
+// names. Call once per pipeline per registry; stages sharing a name are
+// disambiguated with a "#index" suffix on the stage label.
 func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	seen := make(map[string]bool)
 	labels := make([]obs.Label, len(p.stats))
@@ -45,6 +44,8 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 			st.Corrected.Load, l)
 		reg.HistogramFunc("gfp_pipeline_stage_latency_seconds",
 			"Wall-clock Process latency per frame.", &st.Latency, l)
+		reg.HistogramFunc("gfp_pipeline_stage_queue_wait_seconds",
+			"Time frames spent ready-but-unserved before the stage.", &st.QueueWait, l)
 
 		// Cycle-model accounting from metered stages: per-class op totals
 		// and their price on the paper's GF-processor timing — the
@@ -78,32 +79,16 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 		"End-to-end submit-to-delivery frame latency.", &p.Total)
 
 	reg.CounterFunc("gfp_pipeline_delivered_frames_total",
-		"Frames delivered by the reorder sink (with or without error).",
+		"Frames delivered (with or without error).",
 		p.Sink.Frames.Load)
 	reg.CounterFunc("gfp_pipeline_delivered_codewords_total",
-		"Codewords delivered by the reorder sink (batch-aware frame widths).",
+		"Codewords delivered (batch-aware frame widths).",
 		p.Sink.Codewords.Load)
 	reg.CounterFunc("gfp_pipeline_failed_frames_total",
 		"Frames delivered with an error set.", p.Sink.Failed.Load)
 	reg.CounterFunc("gfp_pipeline_failed_codewords_total",
 		"Codewords in frames delivered with an error set (a failed batched frame charges its full width).",
 		p.Sink.FailedCodewords.Load)
-
-	if t := p.tracer; t != nil {
-		for i := range p.stats {
-			reg.HistogramFunc("gfp_pipeline_stage_queue_wait_seconds",
-				"Sampled time frames spent ready-but-unserved before the stage.",
-				t.QueueWait(i), labels[i])
-			reg.HistogramFunc("gfp_pipeline_stage_service_seconds",
-				"Sampled stage Process time from lifecycle traces.",
-				t.Service(i), labels[i])
-		}
-		reg.CounterFunc("gfp_pipeline_traced_frames_total",
-			"Sampled frame lifecycles completed.", t.Traced)
-		reg.GaugeFunc("gfp_pipeline_trace_sample_every",
-			"Trace sampling period (1 = every frame).",
-			func() float64 { return float64(t.SampleEvery()) })
-	}
 }
 
 // RegisterGFKernelMetrics registers the process-wide gf bulk-kernel

@@ -5,11 +5,13 @@
 // frames at once.
 //
 // A Pipeline is an ordered list of Stages. Each stage runs a private
-// worker pool (Config.Workers goroutines) fed by a bounded channel, so a
+// worker pool (Config.Workers goroutines) fed by a bounded ring, so a
 // slow stage exerts backpressure all the way back to Run.Submit instead
 // of buffering without limit. Frames are stamped with a sequence number
-// on submission and reordered at the sink, so output order always equals
-// submission order no matter how workers interleave.
+// on submission. A run started with Start reorders them at the sink, so
+// Out yields them in submission order no matter how workers interleave;
+// a run started with StartFunc hands each frame to the caller as soon as
+// its last stage returns, for callers that match results themselves.
 //
 // Stage implementations must be safe for concurrent use by multiple
 // workers (the codec adapters in stages.go are — see the concurrency
@@ -35,7 +37,7 @@ import (
 // at a time, so stages may mutate it freely without locking.
 type Frame struct {
 	// Seq is the submission sequence number, assigned by Run.Submit.
-	// Frames leave the pipeline in increasing Seq order.
+	// Frames leave an ordered run (Start) in increasing Seq order.
 	Seq uint64
 	// Epoch tags the frame with the configuration epoch it was submitted
 	// under (see Run.SubmitTagged). Epoch-aware stage pairs — e.g. the
@@ -75,12 +77,13 @@ type Frame struct {
 	Latency time.Duration
 
 	submitted time.Time
+	// ready is when the frame last became ready for a stage: set at
+	// submission and again whenever a stage returns. The next stage's
+	// worker charges the gap until it starts to that stage's QueueWait.
+	ready time.Time
 	// pooled, when non-nil, is the pool-owned buffer backing Data,
 	// installed by a buffer-reusing stage and released by Frame.Recycle.
 	pooled *pooledBuf
-	// trace, when non-nil, is the sampled lifecycle record stamped by the
-	// stage workers and folded into the tracer's histograms at the sink.
-	trace *frameTrace
 }
 
 // width returns the frame's codeword count for accounting (Width, with
@@ -144,11 +147,6 @@ type Config struct {
 	// widths; Batch is carried here so all layers size payloads and
 	// queues consistently. 0 means 1 (unbatched).
 	Batch int
-	// Shards is the number of reorder-sink shards: frames fan out by
-	// Seq%Shards to per-shard sequencers whose ordered streams a final
-	// selector merges, so delivery-side stats folding parallelizes
-	// instead of serializing on one goroutine. 0 means min(4, Workers).
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -161,12 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.Batch <= 0 {
 		c.Batch = 1
 	}
-	if c.Shards <= 0 {
-		c.Shards = c.Workers
-		if c.Shards > 4 {
-			c.Shards = 4
-		}
-	}
 	return c
 }
 
@@ -177,7 +169,6 @@ type Pipeline struct {
 	cfg    Config
 	stages []Stage
 	stats  []*StageStats
-	tracer *Tracer // nil unless EnableTracing was called
 	// Total observes end-to-end submit-to-delivery latency.
 	Total Hist
 	// Sink counts delivered frames and codewords (see SinkStats).
@@ -197,9 +188,6 @@ func New(cfg Config, stages ...Stage) (*Pipeline, error) {
 	}
 	if cfg.Batch < 0 {
 		return nil, fmt.Errorf("pipeline: negative batch %d", cfg.Batch)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("pipeline: negative shard count %d", cfg.Shards)
 	}
 	if len(stages) == 0 {
 		return nil, errors.New("pipeline: no stages")
@@ -230,8 +218,9 @@ func (p *Pipeline) Stats() []*StageStats { return p.stats }
 // Config returns the resolved configuration (defaults applied).
 func (p *Pipeline) Config() Config { return p.cfg }
 
-// Run is one execution of a pipeline: submit frames, read them back in
-// submission order from Out, Close when done.
+// Run is one execution of a pipeline: submit frames, take them back
+// (in submission order from Out, or in completion order through the
+// deliver func given to StartFunc), Close when done.
 type Run struct {
 	p    *Pipeline
 	in   *frameRing
@@ -248,58 +237,63 @@ type Run struct {
 	closed bool
 }
 
-// Start launches the worker pools and returns a Run accepting frames.
-// Stages hand frames downstream through bulk rings; the last stage
-// scatters onto the sharded reorder sink (per-shard sequencers merged by
-// a selector), which delivers on Out in Seq order.
+// Start launches the worker pools and returns a Run that delivers on
+// Out in submission order. Stages hand frames downstream through bulk
+// rings; the last stage feeds the reorder ring, whose selector folds
+// delivery stats and releases frames in Seq order.
 func (p *Pipeline) Start() *Run {
-	cfg := p.cfg
-	r := &Run{
-		p:    p,
-		in:   newFrameRing(cfg.Queue),
-		out:  make(chan *Frame, cfg.Queue),
-		done: make(chan struct{}),
-	}
-	merged := newFrameRing(cfg.Queue)
-	var sink frameSink = merged
-	if cfg.Shards > 1 {
-		shards := make([]*frameRing, cfg.Shards)
-		for i := range shards {
-			shards[i] = newFrameRing(cfg.Queue)
-		}
-		sink = &shardedSink{shards: shards}
-		var seqWG sync.WaitGroup
-		seqWG.Add(cfg.Shards)
-		for i := range shards {
-			go r.sequencer(shards[i], merged, &seqWG)
-		}
-		go func() {
-			seqWG.Wait()
-			merged.close()
-		}()
-	}
-	src := r.in
-	for i, s := range p.stages {
-		if i == len(p.stages)-1 {
-			startStage(s, p.stats[i], i, p.tracer, cfg.Workers, src, sink)
-			break
-		}
-		next := newFrameRing(cfg.Queue)
-		startStage(s, p.stats[i], i, p.tracer, cfg.Workers, src, next)
-		src = next
-	}
-	// With one shard there is nothing to fold in parallel: the last stage
-	// feeds the merged ring directly and the selector folds stats inline,
-	// costing no more handoffs than the pre-shard engine.
-	go r.selector(merged, cfg.Shards == 1)
+	r := p.newRun()
+	r.out = make(chan *Frame, p.cfg.Queue)
+	finished := newFrameRing(p.cfg.Queue)
+	r.startStages(finished, stageRun)
+	go r.selector(finished)
 	return r
 }
 
-// startStage spawns the worker pool for stage idx and closes dst once
-// every worker has drained src. Workers dequeue a run of frames per ring
-// synchronization and re-enqueue the whole run downstream in one bulk
-// put, so handoff cost amortizes over the run.
-func startStage(s Stage, st *StageStats, idx int, tr *Tracer, workers int, src *frameRing, dst frameSink) {
+// StartFunc launches the worker pools and returns a Run that delivers
+// in completion order, for callers that match results themselves (the
+// codec server routes each reply by its Tag). The last stage's worker
+// folds a frame's delivery stats and calls deliver on it as soon as the
+// stage returns, so a slow frame holds back only its own worker. Every
+// worker takes one frame per dequeue: a batched run would make the
+// frames behind a slow one wait inside the worker. deliver runs
+// concurrently on the last stage's workers and should not block; it
+// owns the frame from then on. Out is closed and unused, and Wait
+// returns once the workers have exited after Close.
+func (p *Pipeline) StartFunc(deliver func(*Frame)) *Run {
+	r := p.newRun()
+	r.out = make(chan *Frame)
+	close(r.out)
+	r.startStages(deliverSink{r: r, deliver: deliver}, 1)
+	return r
+}
+
+func (p *Pipeline) newRun() *Run {
+	return &Run{p: p, in: newFrameRing(p.cfg.Queue), done: make(chan struct{})}
+}
+
+// startStages spawns every stage's worker pool, chained through rings,
+// with the last stage feeding sink. Workers dequeue up to runLen frames
+// per ring synchronization.
+func (r *Run) startStages(sink frameSink, runLen int) {
+	p := r.p
+	src := r.in
+	for i, s := range p.stages {
+		if i == len(p.stages)-1 {
+			startStage(s, p.stats[i], p.cfg.Workers, runLen, src, sink)
+			break
+		}
+		next := newFrameRing(p.cfg.Queue)
+		startStage(s, p.stats[i], p.cfg.Workers, runLen, src, next)
+		src = next
+	}
+}
+
+// startStage spawns the worker pool for one stage and closes dst once
+// every worker has drained src. Workers dequeue a run of up to runLen
+// frames per ring synchronization and re-enqueue the whole run
+// downstream in one bulk put, so handoff cost amortizes over the run.
+func startStage(s Stage, st *StageStats, workers, runLen int, src *frameRing, dst frameSink) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -309,29 +303,15 @@ func startStage(s Stage, st *StageStats, idx int, tr *Tracer, workers int, src *
 		}
 		go func(inst Stage) {
 			defer wg.Done()
-			run := make([]*Frame, stageRun)
+			run := make([]*Frame, runLen)
 			for {
 				n := src.getSome(run)
 				if n == 0 {
 					return
 				}
 				for _, f := range run[:n] {
-					if f.trace != nil {
-						f.trace.spans[idx].start = tr.now()
-					}
 					if f.Err == nil {
 						runStage(inst, st, f)
-					}
-					if f.trace != nil {
-						now := tr.now()
-						f.trace.spans[idx].fin = now
-						// The frame is ready for the next stage the moment this
-						// one finishes; time spent in the worker's run buffer and
-						// any blocked bulk put below (backpressure) then count as
-						// the next stage's queue wait.
-						if idx+1 < len(f.trace.spans) {
-							f.trace.spans[idx+1].enq = now
-						}
 					}
 				}
 				dst.putAll(run[:n])
@@ -352,8 +332,15 @@ func runStage(s Stage, st *StageStats, f *Frame) {
 	beforeCorrected := f.Corrected
 	beforeCounts := f.Counts
 	start := time.Now()
+	if !f.ready.IsZero() { // frames injected past Submit carry no ready time
+		st.QueueWait.Observe(start.Sub(f.ready))
+	}
 	err := s.Process(f)
-	st.Latency.Observe(time.Since(start))
+	// The frame is ready for the next stage the moment this one returns:
+	// time in the worker's run buffer and any blocked downstream put
+	// (backpressure) count as the next stage's queue wait.
+	f.ready = time.Now()
+	st.Latency.Observe(f.ready.Sub(start))
 	st.Frames.Add(1)
 	if f.Counts != beforeCounts {
 		st.counts.add(subCounts(f.Counts, beforeCounts))
@@ -408,39 +395,15 @@ func (r *Run) SubmitTagged(data []byte, epoch int) uint64 {
 // stamps tag (which may be nil) onto Frame.Tag for delivery-time
 // routing. Like Submit it blocks while the first stage's queue is full.
 func (r *Run) SubmitChecked(data []byte, epoch int, tag any) (uint64, error) {
-	return r.submitChecked(data, epoch, tag, false)
-}
-
-// SubmitTracedChecked is SubmitChecked for request-scoped traced
-// frames: when traced is true and the pipeline has a tracer, the frame
-// is force-sampled so its per-stage lifecycle is recorded regardless of
-// the 1/N sampling tick (a traced request always yields stage spans).
-// With traced false it is exactly SubmitChecked.
-func (r *Run) SubmitTracedChecked(data []byte, epoch int, tag any, traced bool) (uint64, error) {
-	return r.submitChecked(data, epoch, tag, traced)
-}
-
-func (r *Run) submitChecked(data []byte, epoch int, tag any, force bool) (uint64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.closed {
 		return 0, ErrClosed
 	}
+	now := time.Now()
 	f := framePool.Get().(*Frame)
-	*f = Frame{Data: data, Epoch: epoch, Tag: tag, submitted: time.Now()}
+	*f = Frame{Data: data, Epoch: epoch, Tag: tag, submitted: now, ready: now}
 	f.Seq = r.seq.Add(1) - 1
-	if tr := r.p.tracer; tr != nil {
-		var ft *frameTrace
-		if force {
-			ft = tr.force()
-		} else {
-			ft = tr.sample()
-		}
-		if ft != nil {
-			ft.spans[0].enq = tr.now()
-			f.trace = ft
-		}
-	}
 	// Copy Seq before the handoff: once put, the consumer may deliver
 	// and Free the frame (returning it to the pool) at any moment.
 	seq := f.Seq
@@ -457,13 +420,16 @@ func (r *Run) Closed() bool {
 }
 
 // Out delivers processed frames in submission order. It is closed after
-// Close once every submitted frame has been delivered.
+// Close once every submitted frame has been delivered. A run started
+// with StartFunc delivers through its func instead, and its Out is
+// closed from the start.
 func (r *Run) Out() <-chan *Frame { return r.out }
 
 // Close declares the input complete. In-flight frames still drain to
-// Out, which is closed afterwards. Close is idempotent and safe to call
-// concurrently with SubmitChecked; it blocks until submitters already
-// inside SubmitChecked have handed their frame to the first stage.
+// Out (or the deliver func), and Out is closed afterwards. Close is
+// idempotent and safe to call concurrently with SubmitChecked; it
+// blocks until submitters already inside SubmitChecked have handed
+// their frame to the first stage.
 func (r *Run) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -475,12 +441,13 @@ func (r *Run) Close() {
 }
 
 // Wait blocks until the pipeline has fully drained (Close called and
-// every frame delivered). The caller must be consuming Out — or have
-// consumed it — for Wait to return.
+// every frame delivered). On an ordered run the caller must be
+// consuming Out — or have consumed it — for Wait to return.
 func (r *Run) Wait() { <-r.done }
 
 // Drain submits every payload, closes the input and collects all frames
-// in submission order — the convenient batch entry point. Frames whose
+// in submission order — the convenient batch entry point for a run
+// started with Start. Frames whose
 // stages failed carry Err; the first such error (by Seq) is returned
 // alongside the full frame list.
 func (r *Run) Drain(payloads [][]byte) ([]*Frame, error) {

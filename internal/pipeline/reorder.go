@@ -2,94 +2,59 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// Sharded reorder sink. The original engine funneled every frame through
-// one goroutine holding an unbounded pending map that never shrank after
-// an out-of-order burst. Here the delivery path fans out by Seq modulo
-// the shard count: the last stage's workers scatter frames onto
-// per-shard rings and each shard's sequencer folds the per-frame
-// delivery stats (latency, end-to-end histogram, lifecycle traces) in
-// parallel before funneling into the selector, which restores dense Seq
+// The ordered sink. The last stage's workers put finished frames on one
+// ring; the selector folds their delivery stats and restores dense Seq
 // order through a power-of-two circular window — O(1) slab-reusing
-// insert/release per frame, no map.
-//
-// The selector never waits on a *specific* shard (a selective receive
-// plus bounded shard queues can deadlock behind head-of-line blocking in
-// the stage workers); it consumes whatever the merged ring holds and
-// parks out-of-order frames in the window, which grows to the in-flight
-// bound and is reused thereafter.
+// insert/release per frame, no map. It never waits on a specific frame:
+// it consumes whatever the ring holds and parks out-of-order frames in
+// the window, which grows to the in-flight bound and is reused
+// thereafter.
 
-// shardedSink scatters a stage worker's run of frames onto the per-shard
-// sequencer rings with at most one bulk enqueue per shard per run.
-type shardedSink struct {
-	shards []*frameRing
-}
-
-func (ss *shardedSink) putAll(fs []*Frame) {
-	s := uint64(len(ss.shards))
-	if s == 1 {
-		ss.shards[0].putAll(fs)
-		return
-	}
-	var tmp [stageRun]*Frame
-	for i, ring := range ss.shards {
-		k := 0
-		for _, f := range fs {
-			if f.Seq%s == uint64(i) {
-				tmp[k] = f
-				k++
-			}
-		}
-		if k > 0 {
-			ring.putAll(tmp[:k])
-		}
-	}
-}
-
-func (ss *shardedSink) close() {
-	for _, ring := range ss.shards {
-		ring.close()
-	}
-}
-
-// sequencer folds delivery stats for its shard's frames and forwards
-// them to the merged ring; wg tracks the last sequencer out, which
-// closes the ring.
-func (r *Run) sequencer(src, merged *frameRing, wg *sync.WaitGroup) {
-	defer wg.Done()
-	run := make([]*Frame, stageRun)
-	for {
-		n := src.getSome(run)
-		if n == 0 {
-			return
-		}
-		for _, f := range run[:n] {
-			r.finish(f)
-		}
-		merged.putAll(run[:n])
-		for i := range run[:n] {
-			run[i] = nil
-		}
-	}
-}
-
-// finish folds one frame's delivery stats: submit-to-sink latency into
-// the pipeline's Total histogram and any sampled lifecycle trace into
-// the tracer. Runs on the frame's shard sequencer, so shards fold stats
-// in parallel. Frames injected past Submit carry no submit timestamp and
-// keep Latency 0.
+// finish folds one frame's submit-to-delivery latency into the
+// pipeline's Total histogram. Frames injected past Submit carry no
+// submit timestamp and keep Latency 0.
 func (r *Run) finish(f *Frame) {
 	if !f.submitted.IsZero() {
 		f.Latency = time.Since(f.submitted)
 		r.p.Total.Observe(f.Latency)
 	}
-	if f.trace != nil {
-		r.p.tracer.complete(f)
+}
+
+// count folds one delivered frame into the Sink counters: its codewords
+// too, so a failed batched frame charges its full width, not 1.
+func (r *Run) count(f *Frame) {
+	cw := int64(f.width())
+	sk := &r.p.Sink
+	sk.Frames.Add(1)
+	sk.Codewords.Add(cw)
+	if f.Err != nil {
+		sk.Failed.Add(1)
+		sk.FailedCodewords.Add(cw)
 	}
 }
+
+// deliverSink is the completion-order sink of a StartFunc run: the last
+// stage's worker folds each frame's delivery stats and hands it to the
+// caller as soon as its stage returns.
+type deliverSink struct {
+	r       *Run
+	deliver func(*Frame)
+}
+
+func (d deliverSink) putAll(fs []*Frame) {
+	for _, f := range fs {
+		d.r.finish(f)
+		d.r.count(f)
+		d.deliver(f)
+	}
+}
+
+// close runs once every last-stage worker has exited: the run is
+// drained.
+func (d deliverSink) close() { close(d.r.done) }
 
 // seqWindow buffers out-of-order frames indexed by Seq: a power-of-two
 // circular window that grows to the in-flight high-water mark and then
@@ -152,26 +117,22 @@ func (w *seqWindow) drain() []*Frame {
 	return out
 }
 
-// selector releases frames in dense Seq order on r.out. With fold set
-// (single-shard runs, where no sequencers exist) it folds delivery stats
-// itself. Frames held at close (their predecessors were never submitted
-// — only possible for frames injected out of band) are delivered in Seq
-// order carrying the out-of-band error, exactly as the pre-shard engine
-// marked every frame still pending at close.
-func (r *Run) selector(merged *frameRing, fold bool) {
+// selector folds delivery stats and releases frames in dense Seq order
+// on r.out. Frames held at close (their predecessors were never
+// submitted — only possible for frames injected out of band) are
+// delivered in Seq order carrying the out-of-band error.
+func (r *Run) selector(src *frameRing) {
 	defer close(r.out)
 	defer close(r.done)
 	w := newSeqWindow()
 	run := make([]*Frame, stageRun)
 	for {
-		n := merged.getSome(run)
+		n := src.getSome(run)
 		if n == 0 {
 			break
 		}
 		for _, f := range run[:n] {
-			if fold {
-				r.finish(f)
-			}
+			r.finish(f)
 			if f.Seq < w.base {
 				// Duplicate of an already-released seq (injected frames
 				// only): deliver rather than wedge the window.
@@ -196,21 +157,13 @@ func (r *Run) selector(merged *frameRing, fold bool) {
 	}
 }
 
-// emit counts the frame (and its codewords — a failed batched frame
-// charges its full width, not 1) and delivers it. oob marks out-of-band
+// emit counts the frame and delivers it on Out. oob marks out-of-band
 // frames, preserving any stage error already on the frame.
 func (r *Run) emit(f *Frame, oob bool) {
 	if oob && f.Err == nil {
 		f.Err = fmt.Errorf("pipeline: frame %d delivered out of band", f.Seq)
 		f.FailedAt = "reorder"
 	}
-	cw := int64(f.width())
-	sk := &r.p.Sink
-	sk.Frames.Add(1)
-	sk.Codewords.Add(cw)
-	if f.Err != nil {
-		sk.Failed.Add(1)
-		sk.FailedCodewords.Add(cw)
-	}
+	r.count(f)
 	r.out <- f
 }

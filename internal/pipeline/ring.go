@@ -8,8 +8,9 @@ import "sync"
 // load getSome returns whatever is queued, so latency is unaffected.
 const stageRun = 8
 
-// frameSink is the downstream end of a stage's handoff: either the next
-// stage's input ring or the sharded reorder sink.
+// frameSink is the downstream end of a stage's handoff: the next stage's
+// input ring, the ordered sink's ring, or a StartFunc run's deliver
+// sink.
 type frameSink interface {
 	// putAll enqueues every frame, blocking on backpressure.
 	putAll(fs []*Frame)

@@ -29,6 +29,10 @@ type StageStats struct {
 	Corrected atomic.Int64 // symbol/bit errors corrected (decode stages)
 
 	Latency Hist // wall-clock Process latency per frame
+	// QueueWait is the time each frame sat ready but unserved before a
+	// worker of this stage took it: from submission (first stage) or the
+	// previous stage's return, including any blocked downstream put.
+	QueueWait Hist
 
 	// counts accumulates perf.Counts cycle accounting reported by metered
 	// stages (each field atomically).
@@ -63,7 +67,7 @@ func (a *countsAccum) snapshot() perf.Counts {
 // (zero unless a metered stage ran).
 func (s *StageStats) Counts() perf.Counts { return s.counts.snapshot() }
 
-// SinkStats counts what left the pipeline, folded at the reorder sink.
+// SinkStats counts what left the pipeline, folded at delivery.
 // Frames are engine frames (one per Submit); Codewords unpacks batching
 // (a frame carrying a 16-codeword payload counts 16), so failure rates
 // stay comparable across batch settings — a failed batched frame charges

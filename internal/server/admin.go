@@ -14,7 +14,7 @@ import (
 )
 
 // RegisterMetrics registers the server ledger, the shared pipeline's
-// stage/trace instruments and the process-wide GF kernel tier counters
+// stage instruments and the process-wide GF kernel tier counters
 // with reg. Call once per server per registry.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("gfp_server_connections_accepted_total",
@@ -103,21 +103,16 @@ func (s *Server) Healthy() error {
 	return nil
 }
 
-// Tracer returns the shared pipeline's frame tracer, or nil when
-// Config.TraceEvery was 0.
-func (s *Server) Tracer() *pipeline.Tracer { return s.pl.Tracer() }
-
 // Statsz is the /statsz payload: the GFP1 stats-op snapshot plus the
 // full metrics registry, the GF kernel-tier selections (which
 // implementation tier the fixed rule binds to each (field, op)) and
-// the slowest traced frames — a superset of what the wire
-// protocol's OpStats returns.
+// the SLO status — a superset of what the wire protocol's OpStats
+// returns.
 type Statsz struct {
 	*StatsSnapshot
-	Metrics          []obs.Metric          `json:"metrics"`
-	KernelSelections []gf.TierSelection    `json:"kernel_selections,omitempty"`
-	Traces           []pipeline.FrameTrace `json:"traces,omitempty"`
-	SLO              []obs.SLOStatus       `json:"slo,omitempty"`
+	Metrics          []obs.Metric       `json:"metrics"`
+	KernelSelections []gf.TierSelection `json:"kernel_selections,omitempty"`
+	SLO              []obs.SLOStatus    `json:"slo,omitempty"`
 }
 
 // TraceSnap captures the server's distributed-trace span ring — the
@@ -146,9 +141,6 @@ func (s *Server) AdminHandler(reg *obs.Registry) http.Handler {
 			Metrics:          reg.Gather(),
 			KernelSelections: gf.Selections(),
 			SLO:              s.cfg.SLO.Snapshot(),
-		}
-		if t := s.Tracer(); t != nil {
-			sz.Traces = t.Dump()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

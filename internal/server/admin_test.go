@@ -102,10 +102,7 @@ func TestLedgerConsistencyUnderShutdown(t *testing.T) {
 // valid exposition covering the server ledger, pipeline stages and
 // kernel tiers, and /statsz is a JSON superset of the stats op.
 func TestAdminEndpoints(t *testing.T) {
-	s, addr := startServer(t, Config{
-		N: 255, K: 239, Depth: 1, Window: 4, Workers: 2,
-		TraceEvery: 1, TraceSlowest: 4,
-	})
+	s, addr := startServer(t, Config{N: 255, K: 239, Depth: 1, Window: 4, Workers: 2})
 	reg := obs.NewRegistry()
 	s.RegisterMetrics(reg)
 	admin := httptest.NewServer(s.AdminHandler(reg))
@@ -162,7 +159,6 @@ func TestAdminEndpoints(t *testing.T) {
 		`gfp_model_ops_total{class="gf_op",stage="codec-dispatch"}`,
 		`gfp_gf_kernel_calls_total{tier="table"}`,
 		`gfp_pipeline_stage_queue_wait_seconds_count{stage="codec-dispatch"} 8`,
-		"gfp_pipeline_traced_frames_total 8",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -179,7 +175,6 @@ func TestAdminEndpoints(t *testing.T) {
 	var sz struct {
 		Server  Counters          `json:"server"`
 		Metrics []json.RawMessage `json:"metrics"`
-		Traces  []json.RawMessage `json:"traces"`
 	}
 	if err := json.Unmarshal([]byte(body), &sz); err != nil {
 		t.Fatalf("/statsz not JSON: %v", err)
@@ -189,9 +184,6 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 	if len(sz.Metrics) == 0 {
 		t.Error("/statsz has no metrics array")
-	}
-	if len(sz.Traces) == 0 {
-		t.Error("/statsz has no traces despite TraceEvery=1")
 	}
 
 	if code, _, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {

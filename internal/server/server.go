@@ -63,12 +63,11 @@ type Config struct {
 	// (0 = no limit). WriteTimeout bounds each response write (0 = no
 	// limit).
 	ReadTimeout, WriteTimeout time.Duration
-	// TraceEvery sets background frame-lifecycle sampling on the shared
-	// pipeline: one in every TraceEvery frames is traced (1 = all,
-	// 0 = background sampling effectively off — request-scoped
-	// distributed traces still record per-stage spans). TraceSlowest is
-	// how many of the slowest traces are retained for the /statsz dump
-	// (0 = 16).
+	// TraceEvery and TraceSlowest are read by nothing: the pipeline
+	// measures every frame's queue wait and keeps no sampled frame
+	// traces. They remain so existing callers still compile.
+	//
+	// Deprecated: no effect.
 	TraceEvery, TraceSlowest int
 	// TraceRing caps the distributed-trace span ring served at /tracez
 	// (0 = trace.DefaultRingSize). Spans are recorded only for requests
@@ -125,10 +124,9 @@ type Server struct {
 	draining bool
 	serving  bool
 
-	readerWG     sync.WaitGroup // connection read loops
-	writerWG     sync.WaitGroup // connection write loops
-	inflight     sync.WaitGroup // frames submitted but not yet routed
-	dispatchDone chan struct{}
+	readerWG sync.WaitGroup // connection read loops
+	writerWG sync.WaitGroup // connection write loops
+	inflight sync.WaitGroup // frames submitted but not yet routed
 
 	st  selftest
 	ctr counters
@@ -161,26 +159,18 @@ type pendingReq struct {
 
 	read      time.Time // request framed off the socket
 	submitted time.Time // frame entered the shared pipeline
-	routed    time.Time // response routed to the connection's write queue
-
-	ft    pipeline.FrameTrace // per-stage lifecycle (sampled requests only)
-	hasFT bool
+	// started and routed bound a sampled request's stage span: a worker
+	// began the op, and the reply was routed to the connection's write
+	// queue as the stage returned. Unsampled requests leave them zero.
+	// The worker writes them; the write-queue handoff orders its writes
+	// before the write loop reads them.
+	started, routed time.Time
 }
-
-// TraceWanted and ObserveTrace implement pipeline.TraceObserver: the
-// reorder sink hands a sampled frame's materialized stage record to its
-// pendingReq before delivery, and finishRequest later turns it into
-// stage spans. The unsynchronized fields are safe: ObserveTrace runs
-// before the frame reaches Run.Out, which happens before dispatch
-// routes the response to the write loop — channel handoffs order both.
-func (pr *pendingReq) TraceWanted() bool { return pr.tc.Sampled }
-
-// ObserveTrace retains the stage record for span recording.
-func (pr *pendingReq) ObserveTrace(ft pipeline.FrameTrace) { pr.ft, pr.hasFT = ft, true }
 
 // New builds the server: codec instances, the shared pipeline (one
 // dispatch stage fanned out over Workers goroutines), and a started run
-// ready to accept frames.
+// ready to accept frames, delivering each reply from the worker that
+// computed it.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N <= 0 || cfg.K <= 0 {
@@ -230,30 +220,17 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TraceEvery > 0 {
-		pl.EnableTracing(pipeline.TraceConfig{SampleEvery: cfg.TraceEvery, Slowest: cfg.TraceSlowest})
-	} else {
-		// Background frame sampling is off, but the tracer must still
-		// exist: request-scoped distributed traces force a per-stage
-		// record through it regardless of the 1/N tick, and without one a
-		// traced request would lose its pipeline-stage spans. A ~1e9
-		// period keeps the background path effectively dark (one atomic
-		// increment per frame, no allocation).
-		pl.EnableTracing(pipeline.TraceConfig{SampleEvery: 1 << 30, Slowest: cfg.TraceSlowest})
-	}
 	s := &Server{
-		cfg:          cfg,
-		iv:           iv,
-		pl:           pl,
-		run:          pl.Start(),
-		conns:        make(map[*conn]struct{}),
-		dispatchDone: make(chan struct{}),
-		ecc:          eccSvc,
-		ghash:        disp.gcm.GHASHStrategy(),
-		aes:          cipher.BlockStrategy(),
-		spans:        trace.NewRing(cfg.TraceRing),
+		cfg:   cfg,
+		iv:    iv,
+		pl:    pl,
+		conns: make(map[*conn]struct{}),
+		ecc:   eccSvc,
+		ghash: disp.gcm.GHASHStrategy(),
+		aes:   cipher.BlockStrategy(),
+		spans: trace.NewRing(cfg.TraceRing),
 	}
-	go s.dispatch()
+	s.run = pl.StartFunc(s.deliver)
 	return s, nil
 }
 
@@ -361,49 +338,41 @@ func (s *Server) removeConn(c *conn) {
 	s.ctr.connsActive.Add(-1)
 }
 
-// dispatch is the single response router: it consumes delivered frames
-// from the shared run and hands each response to its connection's write
-// queue. The per-connection window guarantees the queue has room, so
-// dispatch never blocks on a slow client — it drops the response only
-// when the connection has already died.
-func (s *Server) dispatch() {
-	defer close(s.dispatchDone)
-	for f := range s.run.Out() {
-		pr, ok := f.Tag.(*pendingReq)
-		if !ok { // not ours; nothing to route
-			f.Recycle()
-			continue
-		}
+// deliver routes one completed frame's response to its connection's
+// write queue. It runs on the pipeline worker that computed the frame,
+// as soon as the stage returns, so a reply waits for no other request.
+// The per-connection window guarantees the queue has room, so deliver
+// never blocks on a slow client — it drops the response only when the
+// connection has already died.
+func (s *Server) deliver(f *pipeline.Frame) {
+	pr := f.Tag.(*pendingReq)
+	if pr.tc.Sampled {
 		pr.routed = time.Now()
-		var om outMsg
-		if f.Err != nil {
-			payload := []byte(f.Err.Error())
-			f.Recycle()
-			om = outMsg{m: &Message{Op: pr.op, Status: StatusCodecFailed, ID: pr.id, Payload: payload}, pr: pr}
-		} else {
-			// The response references the frame's (pool-backed) payload;
-			// the writer recycles it after the bytes hit the socket.
-			om = outMsg{m: &Message{Op: pr.op, ID: pr.id, Payload: f.Data}, f: f, pr: pr}
-		}
-		switch pr.c.route(om) {
-		case routeOK:
-		case routeClosed:
-			if om.f != nil {
-				om.f.Recycle()
-			}
-			s.ctr.dropped.Add(1)
-		case routeFull:
-			// Window invariant broken — should be impossible. Kill the
-			// connection rather than stall every other client.
-			if om.f != nil {
-				om.f.Recycle()
-			}
-			s.ctr.dropped.Add(1)
-			s.logf("server: write queue overflow on %v (window invariant)", pr.c.nc.RemoteAddr())
-			pr.c.fail()
-		}
-		s.inflight.Done()
 	}
+	var om outMsg
+	if f.Err != nil {
+		payload := []byte(f.Err.Error())
+		f.Free()
+		om = outMsg{m: &Message{Op: pr.op, Status: StatusCodecFailed, ID: pr.id, Payload: payload}, pr: pr}
+	} else {
+		// The response references the frame's (pool-backed) payload;
+		// the writer frees the frame after the bytes hit the socket.
+		om = outMsg{m: &Message{Op: pr.op, ID: pr.id, Payload: f.Data}, f: f, pr: pr}
+	}
+	switch pr.c.route(om) {
+	case routeOK:
+	case routeClosed:
+		om.free()
+		s.ctr.dropped.Add(1)
+	case routeFull:
+		// Window invariant broken — should be impossible. Kill the
+		// connection rather than stall every other client.
+		om.free()
+		s.ctr.dropped.Add(1)
+		s.logf("server: write queue overflow on %v (window invariant)", pr.c.nc.RemoteAddr())
+		pr.c.fail()
+	}
+	s.inflight.Done()
 }
 
 // Shutdown gracefully stops the server: it stops accepting, lets every
@@ -433,8 +402,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		defer close(done)
 		s.readerWG.Wait()   // no more submissions
 		s.inflight.Wait()   // every submitted frame routed to a write queue
-		s.run.Close()       // idempotent; lets the dispatcher exit
-		<-s.dispatchDone    //
+		s.run.Close()       // idempotent; lets the pipeline workers exit
+		s.run.Wait()        //
 		s.closeConnsDrain() // writers flush their queues and close
 		s.writerWG.Wait()
 	}()
@@ -485,7 +454,7 @@ func (s *Server) armRead(c *conn) bool {
 }
 
 // outMsg is one queued response. f, when non-nil, is the pipeline frame
-// whose pooled payload backs m.Payload; the writer recycles it once the
+// whose pooled payload backs m.Payload; the writer frees it once the
 // message is on the wire. pr, when non-nil, is the pipeline-served
 // request this response answers; the write loop closes its
 // observability books (latency, SLO, spans, wide event) at the
@@ -497,6 +466,13 @@ type outMsg struct {
 	f     *pipeline.Frame
 	pr    *pendingReq
 	unled bool
+}
+
+// free returns the backing frame, if any, to the pipeline's pools.
+func (om outMsg) free() {
+	if om.f != nil {
+		om.f.Free()
+	}
 }
 
 // conn is one client connection: a read loop that frames requests and
@@ -516,7 +492,7 @@ type conn struct {
 	lameOnce sync.Once
 	broken   bool // write side failed; set only by the write loop
 
-	// wqMu/wqClosed serialize dispatcher routing against write-loop
+	// wqMu/wqClosed serialize reply routing against write-loop
 	// teardown: once the writer abandons the queue it flips wqClosed, so
 	// a response can never be enqueued after the final drain and leak
 	// unaccounted.
@@ -533,7 +509,7 @@ const (
 	routeFull               // queue full — the window invariant is broken
 )
 
-// route enqueues a dispatcher response, never blocking.
+// route enqueues a response, never blocking.
 func (c *conn) route(om outMsg) routeResult {
 	c.wqMu.Lock()
 	defer c.wqMu.Unlock()
@@ -557,8 +533,8 @@ func (c *conn) closeWriteq() {
 }
 
 // fail tears the connection down: the write loop exits (dropping queued
-// responses), its deferred close unblocks the read loop, and the
-// dispatcher drops any still-in-flight responses for this connection.
+// responses), its deferred close unblocks the read loop, and deliver
+// drops any still-in-flight responses for this connection.
 func (c *conn) fail() {
 	c.failOnce.Do(func() { close(c.dead) })
 }
@@ -709,8 +685,7 @@ func (c *conn) badRSLen(n, unit int) (bad bool, why string) {
 
 // submit pushes one request into the shared pipeline, tagged with its
 // op (as the frame epoch) and routing state. A sampled trace context
-// mints this hop's request-span id and force-samples the frame so the
-// pipeline records its per-stage lifecycle.
+// mints this hop's request-span id.
 func (c *conn) submit(m *Message, data []byte, tc trace.Context, readAt time.Time) bool {
 	pr := &pendingReq{c: c, op: m.Op, id: m.ID, tc: tc, read: readAt}
 	if tc.Sampled {
@@ -718,7 +693,7 @@ func (c *conn) submit(m *Message, data []byte, tc trace.Context, readAt time.Tim
 	}
 	pr.submitted = time.Now()
 	c.s.inflight.Add(1)
-	_, err := c.s.run.SubmitTracedChecked(data, int(m.Op), pr, tc.Sampled)
+	_, err := c.s.run.SubmitChecked(data, int(m.Op), pr)
 	if err != nil {
 		c.s.inflight.Done()
 		c.send(outMsg{m: &Message{Op: m.Op, Status: StatusShuttingDown, ID: m.ID,
@@ -729,7 +704,7 @@ func (c *conn) submit(m *Message, data []byte, tc trace.Context, readAt time.Tim
 }
 
 // send enqueues a reader-originated response (stats, rejections)
-// through the same routing gate the dispatcher uses. The window slot
+// through the same routing gate deliver uses. The window slot
 // the reader holds guarantees queue room, so the full-queue retry is a
 // safety net, not a steady state. Returns false once the connection is
 // dead.
@@ -768,7 +743,7 @@ func (c *conn) writeLoop() {
 			c.drainRecycle()
 			return
 		case <-c.lame:
-			// Poisoned stream: bar further routing (late dispatcher
+			// Poisoned stream: bar further routing (late pipeline
 			// responses are counted dropped at the route gate), write out
 			// what is already queued — the framing-error reply — and close.
 			c.closeWriteq()
@@ -803,9 +778,7 @@ func (c *conn) drainRecycle() {
 	for {
 		select {
 		case om := <-c.writeq:
-			if om.f != nil {
-				om.f.Recycle()
-			}
+			om.free()
 			c.account(om, false)
 		default:
 			return
@@ -833,8 +806,8 @@ func (c *conn) account(om outMsg, written bool) {
 }
 
 // write puts one response on the wire (buffered; flushed when the queue
-// momentarily empties), releases its window slot, and recycles the
-// backing frame. After a write error the connection is failed and
+// momentarily empties), releases its window slot, and frees the backing
+// frame. After a write error the connection is failed and
 // further writes are dropped.
 func (c *conn) write(om outMsg) {
 	written := false
@@ -859,9 +832,7 @@ func (c *conn) write(om outMsg) {
 	if om.pr != nil {
 		c.s.finishRequest(c, om, written)
 	}
-	if om.f != nil {
-		om.f.Recycle()
-	}
+	om.free()
 	select {
 	case <-c.sem:
 	default: // conn-fatal replies are sent without a slot
@@ -893,8 +864,9 @@ func (s *Server) finishRequest(c *conn, om outMsg, written bool) {
 // recordSpans turns one traced request's hop timestamps into spans on
 // the /tracez ring: the request envelope (read to response written),
 // admission (window wait and validation before the pipeline accepted
-// the frame), the per-stage pipeline lifecycle, and write-back
-// (response routed to written).
+// the frame), the codec stage (submitted to routed, split into queue
+// wait and service at the worker's start), and write-back (response
+// routed to written).
 func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, now time.Time) {
 	traceID := trace.FormatID(pr.tc.Trace)
 	reqID := trace.FormatID(pr.span)
@@ -921,26 +893,15 @@ func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, n
 		Service: "gfserved", Name: "admission", Op: pr.op.String(),
 		StartUnixNs: pr.read.UnixNano(), DurNs: pr.submitted.Sub(pr.read).Nanoseconds(),
 	})
-	if pr.hasFT {
-		if t := s.pl.Tracer(); t != nil {
-			base := t.Base()
-			for _, ss := range pr.ft.Spans {
-				if ss.EnqNs == 0 || ss.FinNs == 0 {
-					continue
-				}
-				s.spans.Add(trace.Span{
-					Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
-					Service: "gfserved", Name: "stage:" + ss.Stage, Op: pr.op.String(),
-					StartUnixNs: base.Add(time.Duration(ss.EnqNs)).UnixNano(),
-					DurNs:       ss.FinNs - ss.EnqNs,
-					Attrs: map[string]string{
-						"queue_wait_ns": strconv.FormatInt(ss.QueueWaitNs, 10),
-						"service_ns":    strconv.FormatInt(ss.ServiceNs, 10),
-					},
-				})
-			}
-		}
-	}
+	s.spans.Add(trace.Span{
+		Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
+		Service: "gfserved", Name: "stage:" + dispatchStageName, Op: pr.op.String(),
+		StartUnixNs: pr.submitted.UnixNano(), DurNs: pr.routed.Sub(pr.submitted).Nanoseconds(),
+		Attrs: map[string]string{
+			"queue_wait_ns": strconv.FormatInt(pr.started.Sub(pr.submitted).Nanoseconds(), 10),
+			"service_ns":    strconv.FormatInt(pr.routed.Sub(pr.started).Nanoseconds(), 10),
+		},
+	})
 	wb := trace.Span{
 		Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
 		Service: "gfserved", Name: "write-back", Op: pr.op.String(),

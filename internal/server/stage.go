@@ -27,8 +27,11 @@ type dispatchStage struct {
 	eccEng   *ecc.Engine // this worker's engine clone
 }
 
+// dispatchStageName labels the stage in metrics and trace spans.
+const dispatchStageName = "codec-dispatch"
+
 // Name implements pipeline.Stage.
-func (d *dispatchStage) Name() string { return "codec-dispatch" }
+func (d *dispatchStage) Name() string { return dispatchStageName }
 
 // ForWorker implements pipeline.WorkerLocal.
 func (d *dispatchStage) ForWorker(w int) pipeline.Stage {
@@ -53,6 +56,9 @@ func (d *dispatchStage) ForWorker(w int) pipeline.Stage {
 // allocating; seal encrypts into it and moves to a new array only when
 // the frame has no spare capacity for the tag.
 func (d *dispatchStage) Process(f *pipeline.Frame) error {
+	if pr := f.Tag.(*pendingReq); pr.tc.Sampled {
+		pr.started = time.Now() // the stage span's queue-wait/service split
+	}
 	switch Op(f.Epoch) {
 	case OpRSEncode:
 		return d.enc.Process(f)

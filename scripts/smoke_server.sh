@@ -25,7 +25,7 @@ go build -o "$workdir/gfserved" ./cmd/gfserved
 go build -o "$workdir/gfload" ./cmd/gfload
 
 "$workdir/gfserved" -addr "$ADDR" -admin "$ADMIN" -progress 2s \
-  -trace-every 8 >"$workdir/server.log" 2>&1 &
+  >"$workdir/server.log" 2>&1 &
 server_pid=$!
 
 # Wait for the admin plane before launching load.
@@ -87,10 +87,13 @@ wait "$load_pid" || {
 }
 load_pid=
 
-# Post-load: the tracer must have sampled frames.
-traced=$(curl -fsS "http://$ADMIN/metrics" | awk '/^gfp_pipeline_traced_frames_total /{print $2}')
-if [ -z "$traced" ] || [ "${traced%%.*}" -lt 1 ]; then
-  echo "smoke: no traced frames after load (got '${traced:-none}')" >&2
+# Post-load: every frame the codec stage processed has its queue wait
+# measured, so the histogram's count equals the stage's frame counter.
+curl -fsS "http://$ADMIN/metrics" >"$workdir/metrics-after.txt"
+waited=$(awk '/^gfp_pipeline_stage_queue_wait_seconds_count\{stage="codec-dispatch"\} /{print $2}' "$workdir/metrics-after.txt")
+frames=$(awk '/^gfp_pipeline_stage_frames_total\{stage="codec-dispatch"\} /{print $2}' "$workdir/metrics-after.txt")
+if [ -z "$frames" ] || [ "${frames%%.*}" -lt 1 ] || [ "$waited" != "$frames" ]; then
+  echo "smoke: queue-wait count '${waited:-none}' != codec-dispatch frames '${frames:-none}' after load" >&2
   exit 1
 fi
 grep -q '"gfp_load_round_trips_total"' "$workdir/load-metrics.json" || {
