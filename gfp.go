@@ -230,7 +230,8 @@ type ForkableChannel = channel.Forker
 
 // Pipeline is a concurrent, batched, backpressured frame-processing
 // engine: an ordered list of stages, each fanned out over a bounded
-// worker pool, with output delivered strictly in submission order. See
+// worker pool, with output delivered strictly in submission order
+// (Start) or in completion order to a callback (StartFunc). See
 // docs/PIPELINE.md and cmd/gfpipe.
 type Pipeline = pipeline.Pipeline
 
