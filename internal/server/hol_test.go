@@ -2,6 +2,7 @@ package server
 
 import (
 	"crypto/sha256"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -15,6 +16,12 @@ import (
 // encode waited for A's verify.
 func TestNoCrossConnectionHeadOfLine(t *testing.T) {
 	const encodes = 10
+	// With one P the verify keeps the only P until it returns, so B's
+	// worker could not run beside it whatever the server did. Two Ps let
+	// the OS time-slice them even on a one-CPU host.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	s, addr := startServer(t, Config{Workers: 2})
 	a, b := dialT(t, addr), dialT(t, addr)
 	_, pub := serverPublic(t, a)
