@@ -14,19 +14,14 @@ import (
 // disambiguated with a "#index" suffix on the stage label.
 func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	seen := make(map[string]bool)
-	labels := make([]obs.Label, len(p.stats))
 	for i, st := range p.stats {
+		st := st
 		name := st.Name
 		if seen[name] {
 			name = fmt.Sprintf("%s#%d", name, i)
 		}
 		seen[st.Name] = true
-		labels[i] = obs.L("stage", name)
-	}
-
-	for i, st := range p.stats {
-		st := st
-		l := labels[i]
+		l := obs.L("stage", name)
 		reg.CounterFunc("gfp_pipeline_stage_frames_total",
 			"Frames processed by the stage (error-skipped frames excluded).",
 			st.Frames.Load, l)
