@@ -393,19 +393,19 @@ func BenchmarkGFKernelSyndromeSlice(b *testing.B) {
 	}
 }
 
-// --- Kernel tier A/B: the same hot codec loops forced onto each GF
-// kernel tier (internal/gf/tier.go). The auto row is the fixed per-op
-// rule; the other rows pin the process-wide tier exactly as
-// GFP_KERNEL_TIER would, so the BENCH json records that auto tracks the
-// winning tier. ---
+// --- Kernel tier A/B: the same hot codec loops on each field's binding
+// (the auto row: the product table at m <= 8, internal/gf/tier.go) and
+// under the scalar force, exactly as GFP_KERNEL_TIER=scalar would, so
+// the BENCH json records what the binding wins. ---
 
-// benchPerTier runs fn once per tier as a sub-benchmark named after the
-// tier, forcing the process-wide tier for its duration.
+// benchPerTier runs fn as two sub-benchmarks named after the
+// GFP_KERNEL_TIER value they run under: auto (the scalar force off) and
+// scalar (on).
 func benchPerTier(b *testing.B, fn func(b *testing.B)) {
-	defer gf.ForceKernelTier(gf.TierAuto)
-	for _, tier := range []gf.TierID{gf.TierAuto, gf.TierScalar, gf.TierTable} {
-		b.Run(tier.String(), func(b *testing.B) {
-			gf.ForceKernelTier(tier)
+	defer gf.ForceScalarKernels(gf.ScalarKernelsForced())
+	for _, tier := range []string{"auto", "scalar"} {
+		b.Run(tier, func(b *testing.B) {
+			gf.ForceScalarKernels(tier == "scalar")
 			b.ResetTimer()
 			fn(b)
 		})
@@ -706,18 +706,22 @@ func BenchmarkAESBlockOnSimulator(b *testing.B) {
 // --- Pipeline throughput: frames/s scaling across worker counts ---
 
 // benchmarkPipelineRS drives encode -> corrupt -> decode over one shared
-// RS(255,239) codec with the given per-stage worker count and codewords
-// per frame, reporting message-payload MB/s via SetBytes. Corruption is
-// derived from the frame sequence number and chunk index (8 symbol
-// errors per codeword, the code's capability), so every configuration
-// decodes an identical workload.
+// RS(255,239) codec (the depth-1 frame stages) with the given per-stage
+// worker count and codewords per frame, reporting message-payload MB/s
+// via SetBytes. Corruption is derived from the frame sequence number and
+// chunk index (8 symbol errors per codeword, the code's capability), so
+// every configuration decodes an identical workload.
 func benchmarkPipelineRS(b *testing.B, workers, batch int) {
 	c := rs.Must(gf.MustDefault(8), 255, 239)
-	enc, err := pipeline.NewRSEncode(c)
+	iv, err := rs.NewInterleaved(c, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dec, err := pipeline.NewRSDecode(c)
+	enc, err := pipeline.NewRSFrameEncode(iv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := pipeline.NewRSFrameDecode(iv)
 	if err != nil {
 		b.Fatal(err)
 	}

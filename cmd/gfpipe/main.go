@@ -222,19 +222,11 @@ func runFixed(cfg cliConfig, w io.Writer) (*result, error) {
 		stages = append(stages, pipeline.NewSealAEAD(gcm, aad))
 	}
 
-	if cfg.depth == 1 {
-		enc, err := pipeline.NewRSEncode(code)
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, enc)
-	} else {
-		enc, err := pipeline.NewRSFrameEncode(iv)
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, enc)
+	enc, err := pipeline.NewRSFrameEncode(iv)
+	if err != nil {
+		return nil, err
 	}
+	stages = append(stages, enc)
 
 	switch cfg.chName {
 	case "none":
@@ -263,20 +255,13 @@ func runFixed(cfg cliConfig, w io.Writer) (*result, error) {
 		return nil, fmt.Errorf("unknown channel %q (want bsc, burst or none)", cfg.chName)
 	}
 
-	switch {
-	case cfg.metered:
+	if cfg.metered {
 		dec, err := pipeline.NewMeteredRSDecode(code, kernels.GFProc)
 		if err != nil {
 			return nil, err
 		}
 		stages = append(stages, dec)
-	case cfg.depth == 1:
-		dec, err := pipeline.NewRSDecode(code)
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, dec)
-	default:
+	} else {
 		dec, err := pipeline.NewRSFrameDecode(iv)
 		if err != nil {
 			return nil, err

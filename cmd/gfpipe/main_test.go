@@ -138,19 +138,19 @@ func TestAdaptiveFramesOverride(t *testing.T) {
 	}
 }
 
-// TestRunKeepsForcedKernelTier: GFP_KERNEL_TIER (applied at init, or
-// gf.ForceKernelTier) is the one kernel-tier switch, so run must leave
-// a forced tier in place.
+// TestRunKeepsForcedKernelTier: GFP_KERNEL_TIER=scalar (applied at
+// init, or gf.ForceScalarKernels) is the one kernel-tier switch, so run
+// must leave the scalar force in place.
 func TestRunKeepsForcedKernelTier(t *testing.T) {
-	defer gf.ForceKernelTier(gf.ForcedKernelTier())
-	gf.ForceKernelTier(gf.TierScalar)
+	defer gf.ForceScalarKernels(gf.ScalarKernelsForced())
+	gf.ForceScalarKernels(true)
 	cfg := baseConfig()
 	cfg.frames = 4
 	if _, err := run(cfg, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if got := gf.ForcedKernelTier(); got != gf.TierScalar {
-		t.Fatalf("ForcedKernelTier() after run = %v, want scalar", got)
+	if !gf.ScalarKernelsForced() {
+		t.Fatal("ScalarKernelsForced() after run = false, want true")
 	}
 }
 

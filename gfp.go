@@ -59,23 +59,18 @@ func IrreduciblePolys(m int) []uint32 { return gf.IrreduciblePolys(m) }
 
 // --- Kernel tiers ---
 
-// KernelTier identifies one GF bulk-kernel implementation tier (scalar
-// or table); see docs/GF.md.
-type KernelTier = gf.TierID
+// ForceScalarKernels turns the process-wide scalar force on or off. A
+// field's bulk kernels are bound when built: the product table for
+// m <= 8, the scalar reference loops above. While the force is on,
+// every field runs the scalar loops, bit-exact with the table. Also
+// moves the wide-field multiply and AES-GCM off the carry-less multiply
+// and AES instructions. Equivalent to GFP_KERNEL_TIER=scalar; see
+// docs/GF.md.
+func ForceScalarKernels(on bool) { gf.ForceScalarKernels(on) }
 
-// ParseKernelTier maps a tier name (or "auto"/"") to a KernelTier.
-func ParseKernelTier(name string) (KernelTier, error) { return gf.ParseTier(name) }
-
-// ForceKernelTier pins every bulk kernel process-wide to one tier
-// (gf.TierAuto restores the fixed per-op rule: table where the field has
-// one and the table tier implements the op, scalar otherwise).
-// Ops the forced tier lacks fall back to the scalar reference, so
-// results stay bit-exact. Equivalent to the GFP_KERNEL_TIER env knob.
-func ForceKernelTier(t KernelTier) { gf.ForceKernelTier(t) }
-
-// VerifyKernels differentially checks every built kernel tier of f
-// against the scalar reference over pseudo-random vectors, returning
-// the first disagreement (nil when all tiers agree).
+// VerifyKernels differentially checks f's table kernels against the
+// scalar reference over pseudo-random vectors, returning the first
+// disagreement (nil when they agree).
 func VerifyKernels(f *Field, vectors int, seed int64) error {
 	return gf.VerifyKernels(f, vectors, seed)
 }
@@ -260,15 +255,9 @@ func NewPipeline(cfg PipelineConfig, stages ...PipelineStage) (*Pipeline, error)
 	return pipeline.New(cfg, stages...)
 }
 
-// RSEncodeStage / RSDecodeStage wrap an RS codec (field m <= 8, one
-// symbol per payload byte) as pipeline stages.
-func RSEncodeStage(c *RSCode) (PipelineStage, error) { return pipeline.NewRSEncode(c) }
-
-// RSDecodeStage is the decoding counterpart of RSEncodeStage.
-func RSDecodeStage(c *RSCode) (PipelineStage, error) { return pipeline.NewRSDecode(c) }
-
 // RSFrameEncodeStage / RSFrameDecodeStage wrap an interleaved RS frame
-// codec as pipeline stages.
+// codec (field m <= 8, one symbol per payload byte; depth 1 for the
+// plain code) as pipeline stages.
 func RSFrameEncodeStage(iv *InterleavedRS) (PipelineStage, error) {
 	return pipeline.NewRSFrameEncode(iv)
 }

@@ -124,8 +124,8 @@ const (
 
 // useAESNI is the rule gfbig.UseCLMUL sets for the carry-less multiply:
 // the AES instructions serve where the CPU has them, unless the scalar
-// kernel tier is forced. Nothing is timed.
-func useAESNI() bool { return hasAESNI && gf.ForcedKernelTier() != gf.TierScalar }
+// kernel force is on. Nothing is timed.
+func useAESNI() bool { return hasAESNI && !gf.ScalarKernelsForced() }
 
 // Cipher is an AES cipher with an expanded key schedule.
 type Cipher struct {

@@ -170,7 +170,7 @@ func TestGHASHHWClmulMatchesShiftReference(t *testing.T) {
 // instruction and the table under the scalar kernel force; both seal
 // identically.
 func TestGHASHStrategyRule(t *testing.T) {
-	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	defer gf.ForceScalarKernels(gf.ScalarKernelsForced())
 	c, _ := NewCipher([]byte("0123456789abcdef"))
 	want := ghashTable
 	if gfbig.HasCLMUL() {
@@ -180,17 +180,16 @@ func TestGHASHStrategyRule(t *testing.T) {
 	pt := make([]byte, 100)
 	var sealed [][]byte
 	for _, tc := range []struct {
-		tier gf.TierID
-		want string
+		scalar bool
+		want   string
 	}{
-		{gf.TierAuto, want},
-		{gf.TierTable, want},
-		{gf.TierScalar, ghashTable},
+		{false, want},
+		{true, ghashTable},
 	} {
-		gf.ForceKernelTier(tc.tier)
+		gf.ForceScalarKernels(tc.scalar)
 		g := c.NewGCM()
 		if got := g.GHASHStrategy(); got != tc.want {
-			t.Errorf("force %v: GHASHStrategy() = %q, want %q", tc.tier, got, tc.want)
+			t.Errorf("scalar force %v: GHASHStrategy() = %q, want %q", tc.scalar, got, tc.want)
 		}
 		out, err := g.Seal(nonce, pt, []byte("aad"))
 		if err != nil {
@@ -354,7 +353,7 @@ func withStrategy(t testing.TB, key []byte, strategy string) *Cipher {
 // host has them and the word rounds under the scalar kernel force; both
 // encrypt and seal identically.
 func TestBlockStrategyRule(t *testing.T) {
-	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	defer gf.ForceScalarKernels(gf.ScalarKernelsForced())
 	want := blockWord
 	if hasAESNI {
 		want = blockAESNI
@@ -364,17 +363,16 @@ func TestBlockStrategyRule(t *testing.T) {
 	pt := make([]byte, 300)
 	var sealed [][]byte
 	for _, tc := range []struct {
-		tier gf.TierID
-		want string
+		scalar bool
+		want   string
 	}{
-		{gf.TierAuto, want},
-		{gf.TierTable, want},
-		{gf.TierScalar, blockWord},
+		{false, want},
+		{true, blockWord},
 	} {
-		gf.ForceKernelTier(tc.tier)
+		gf.ForceScalarKernels(tc.scalar)
 		c, _ := NewCipher(key)
 		if got := c.BlockStrategy(); got != tc.want {
-			t.Errorf("force %v: BlockStrategy() = %q, want %q", tc.tier, got, tc.want)
+			t.Errorf("scalar force %v: BlockStrategy() = %q, want %q", tc.scalar, got, tc.want)
 		}
 		out, err := c.NewGCM().Seal(nonce, pt, []byte("aad"))
 		if err != nil {

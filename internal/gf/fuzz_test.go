@@ -34,7 +34,7 @@ func FuzzMulAgainstNoTable(f *testing.F) {
 		// independent implementation of the same product.
 		if m <= tableMaxM {
 			var got [1]Elem
-			fld.Kernels().forTier(TierTable).MulConstSlice(got[:], []Elem{b}, a)
+			fld.Kernels().unforced().MulConstSlice(got[:], []Elem{b}, a)
 			if got[0] != fld.Mul(a, b) {
 				t.Fatalf("m=%d: table tier (%#x,%#x) = %#x, Mul = %#x", m, a, b, got[0], fld.Mul(a, b))
 			}
@@ -69,11 +69,11 @@ func FuzzMulAgainstNoTable(f *testing.F) {
 	})
 }
 
-// FuzzSyndromeTiers drives the multi-point syndrome kernels of every
-// built tier over fuzzer-chosen words and evaluation points, comparing
-// each against the scalar reference. This is the differential gate for the hot decode
-// path: a tier that disagrees on any (field, word, points) triple is a
-// silent-corruption bug.
+// FuzzSyndromeTiers drives the multi-point syndrome kernels' table
+// loops over fuzzer-chosen words and evaluation points, comparing them
+// against the scalar reference. This is the differential gate for the
+// hot decode path: a table loop that disagrees on any (field, word,
+// points) triple is a silent-corruption bug.
 func FuzzSyndromeTiers(f *testing.F) {
 	f.Add(uint8(8), []byte{0xA5, 0x5A, 0xFF, 0x00, 0x33, 0x0F, 0xF0, 0x81}, uint16(1))
 	f.Add(uint8(16), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint16(0x1234))
@@ -111,26 +111,19 @@ func FuzzSyndromeTiers(f *testing.F) {
 		ref.SyndromeBitSlice(wantBits, bits, xs)
 		ref.SyndromeSlice(wantWord, word, xs)
 
-		k := fld.Kernels()
+		k := fld.Kernels().unforced()
 		got := make([]Elem, len(xs))
-		for id := TierID(0); id < NumTiers; id++ {
-			if k.tiers[id] == nil {
-				continue
-			}
-			v := k.forTier(id)
-			v.SyndromeBitSlice(got, bits, xs)
-			for j := range got {
-				if got[j] != wantBits[j] {
-					t.Fatalf("m=%d tier=%v: SyndromeBitSlice[%d] = %d, scalar says %d", m, id, j, got[j], wantBits[j])
-				}
-			}
-			v.SyndromeSlice(got, word, xs)
-			for j := range got {
-				if got[j] != wantWord[j] {
-					t.Fatalf("m=%d tier=%v: SyndromeSlice[%d] = %d, scalar says %d", m, id, j, got[j], wantWord[j])
-				}
+		k.SyndromeBitSlice(got, bits, xs)
+		for j := range got {
+			if got[j] != wantBits[j] {
+				t.Fatalf("m=%d tier=%s: SyndromeBitSlice[%d] = %d, scalar says %d", m, k.Tier(), j, got[j], wantBits[j])
 			}
 		}
-
+		k.SyndromeSlice(got, word, xs)
+		for j := range got {
+			if got[j] != wantWord[j] {
+				t.Fatalf("m=%d tier=%s: SyndromeSlice[%d] = %d, scalar says %d", m, k.Tier(), j, got[j], wantWord[j])
+			}
+		}
 	})
 }

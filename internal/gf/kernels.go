@@ -7,13 +7,11 @@ package gf
 // symbol-at-a-time Field.Mul route (two table lookups plus a zero branch
 // per product) with whole-slice kernels.
 //
-// Two implementation tiers serve every operation (see tier.go): the
-// flat product table for m <= 8 and the scalar reference. A fixed rule
-// picks the tier per op — overridable process-wide via GFP_KERNEL_TIER
-// / ForceKernelTier — and ops the chosen tier does not implement fall
-// back to the scalar reference. The scalar tier is the behavioral
-// specification; selftest.go proves the table tier extensionally equal
-// to it.
+// A field's kernels are bound when they are built (see tier.go): every
+// op runs its product-table loop when the view has the table (m <= 8)
+// and, on Field.Kernels, the scalar force is off, and its scalar loop
+// otherwise. The scalar loops are the behavioral specification;
+// selftest.go proves the table loops extensionally equal to them.
 //
 // All operations are allocation-free: callers own every buffer.
 
@@ -24,36 +22,38 @@ import "fmt"
 const tableMaxM = 8
 
 // Kernels provides bulk slice operations over one field. Obtain one with
-// Field.Kernels (dispatched by the fixed tier rule) or
-// Field.ScalarKernels (a view pinned to the pure-scalar reference, used
-// by tests and A/B benchmarks). A Kernels is immutable after
-// construction and safe for concurrent use by any number of goroutines.
+// Field.Kernels (the field's binding: the product table for m <= 8,
+// subject to the scalar force) or Field.ScalarKernels (the scalar
+// reference, used by tests and A/B benchmarks). A Kernels is immutable
+// after construction and safe for concurrent use by any number of
+// goroutines.
 //
 // Inputs must be valid field elements (Field.Valid); out-of-field values
-// may panic (table tiers) or produce junk (computed tiers), exactly as
+// may panic (table loops) or produce junk (scalar loops), exactly as
 // the scalar table lookups in Field.Mul do.
 type Kernels struct {
-	f     *Field
-	order int
-	base  TierID // table when the field has one, scalar otherwise; names Tier()
-	pin   TierID // TierAuto unless this view is pinned to one tier
+	f      *Field
+	order  int
+	mul    []Elem // flat product table, row c at [c<<8:c<<8+256]; nil on scalar kernels
+	served bool   // Field.Kernels itself, which the scalar force reroutes
 
-	tiers *[NumTiers]*tierOps // shared between the auto and pinned views
-
-	mul []Elem // table tier's product table (nil on pinned-scalar views)
+	// chien holds the Chien step tables of each packed term-register
+	// word, built on first use (table.go).
+	chien []func() *[8][256]uint64
 }
 
 // Kernels returns the field's bulk-arithmetic kernels, built lazily on
-// first use and cached on the Field. Tier choice is per op, by the
-// fixed rule in tier.go.
+// first use and cached on the Field: the product-table loops for
+// m <= 8, the scalar loops above, and the scalar loops everywhere while
+// the scalar force is on.
 func (f *Field) Kernels() *Kernels {
 	f.kernOnce.Do(f.buildKernels)
 	return f.kern
 }
 
-// ScalarKernels returns a view pinned to the pure-scalar reference
-// tier: same API, every product routed through Field.Mul. Tests and
-// benchmarks use it as the behavioral baseline the other tiers are
+// ScalarKernels returns kernels bound to the pure-scalar reference:
+// same API, every product routed through Field.Mul. Tests and
+// benchmarks use it as the behavioral baseline the table loops are
 // checked against.
 func (f *Field) ScalarKernels() *Kernels {
 	f.kernOnce.Do(f.buildKernels)
@@ -61,111 +61,53 @@ func (f *Field) ScalarKernels() *Kernels {
 }
 
 func (f *Field) buildKernels() {
-	tiers := &[NumTiers]*tierOps{TierScalar: buildScalarOps(f), TierTable: buildTableOps(f)}
-	k := &Kernels{f: f, order: f.order, base: TierScalar, pin: TierAuto, tiers: tiers}
-	if t := tiers[TierTable]; t != nil {
-		k.base, k.mul = TierTable, t.mul
+	k := &Kernels{f: f, order: f.order, served: true}
+	if f.m <= tableMaxM {
+		k.buildTable()
 	}
 	f.kern = k
-	f.scalarKern = &Kernels{f: f, order: f.order, base: TierScalar, pin: TierScalar, tiers: tiers}
+	f.scalarKern = &Kernels{f: f, order: f.order}
 	publishSelections(k)
 }
 
-// forTier returns a view of k pinned to one tier (ops the tier lacks
-// still fall back to scalar). The differential selftest uses this to
-// drive every built tier over the same vectors.
-func (k *Kernels) forTier(t TierID) *Kernels {
+// unforced returns a view of k that the scalar force does not reroute:
+// the table loops whenever the field has a table. VerifyKernels checks
+// it, so the table stays verified while the force is on.
+func (k *Kernels) unforced() *Kernels {
 	v := *k
-	v.pin = t
-	if t != TierTable {
-		v.mul = nil
-	}
+	v.served = false
 	return &v
+}
+
+// onTable reports whether a call runs the table loop: the view has the
+// product table and, on Field.Kernels, the scalar force is off.
+func (k *Kernels) onTable() bool {
+	return k.mul != nil && !(k.served && scalarForced.Load())
 }
 
 // Field returns the field these kernels operate in.
 func (k *Kernels) Field() *Field { return k.f }
 
-// Table reports whether the flat product table is available to this
-// view (false on pinned-scalar views and for fields with m > 8).
+// Table reports whether this view has the flat product table (false on
+// Field.ScalarKernels and for fields with m > 8).
 func (k *Kernels) Table() bool { return k.mul != nil }
 
-// AvailableTiers lists the names of every tier built for this
-// field, in TierID order. The scalar tier is always present.
+// Tier names the tier this view is bound to: "table" when it has the
+// product table, "scalar" otherwise.
+func (k *Kernels) Tier() string {
+	if k.Table() {
+		return TierTable.String()
+	}
+	return TierScalar.String()
+}
+
+// AvailableTiers lists the names of the tiers this view can run, in
+// TierID order: scalar always, and table when it has the product table.
 func (k *Kernels) AvailableTiers() []string {
-	var out []string
-	for id := TierID(0); id < NumTiers; id++ {
-		if k.tiers[id] != nil {
-			out = append(out, id.String())
-		}
+	if k.Table() {
+		return TierNames()
 	}
-	return out
-}
-
-// ruleTier is the fixed rule for unpinned, unforced calls: the table
-// tier wherever it is built and implements op, scalar otherwise.
-func (k *Kernels) ruleTier(op kernelOp) TierID {
-	if k.tiers[TierTable].supports(op) {
-		return TierTable
-	}
-	return TierScalar
-}
-
-// tierFor resolves the tier serving op: instance pin, then
-// process-wide force, then the fixed rule.
-func (k *Kernels) tierFor(op kernelOp) TierID {
-	if k.pin != TierAuto {
-		return k.pin
-	}
-	if ft := ForcedKernelTier(); ft != TierAuto {
-		return ft
-	}
-	return k.ruleTier(op)
-}
-
-// dispatch resolves op to a concrete op table, falling back to the
-// scalar reference when the chosen tier lacks the op, and records the
-// hit against the tier that actually serves the call.
-func (k *Kernels) dispatch(op kernelOp) *tierOps {
-	t := k.tierFor(op)
-	ops := k.tiers[t]
-	if !ops.supports(op) {
-		t, ops = TierScalar, k.tiers[TierScalar]
-	}
-	k.hit(t)
-	return ops
-}
-
-// baseTier is the tier charged for tier-independent ops (AddSlice,
-// XorSlice, stride copies): the pin or force when set, the field's
-// table tier (scalar above m = 8) otherwise.
-func (k *Kernels) baseTier() TierID {
-	if k.pin != TierAuto {
-		return k.pin
-	}
-	if ft := ForcedKernelTier(); ft != TierAuto {
-		return ft
-	}
-	return k.base
-}
-
-// AddSlice sets dst[i] = a[i] + b[i] (XOR). dst may alias a or b. All
-// three slices must have equal length.
-func (k *Kernels) AddSlice(dst, a, b []Elem) {
-	if len(a) != len(dst) || len(b) != len(dst) {
-		panic(fmt.Sprintf("gf: AddSlice length mismatch dst=%d a=%d b=%d", len(dst), len(a), len(b)))
-	}
-	k.hit(k.baseTier())
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		dst[i] = a[i] ^ b[i]
-		dst[i+1] = a[i+1] ^ b[i+1]
-		dst[i+2] = a[i+2] ^ b[i+2]
-		dst[i+3] = a[i+3] ^ b[i+3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = a[i] ^ b[i]
-	}
+	return []string{TierScalar.String()}
 }
 
 // XorSlice folds src into dst: dst[i] ^= src[i]. src must not be longer
@@ -174,7 +116,7 @@ func (k *Kernels) XorSlice(dst, src []Elem) {
 	if len(src) > len(dst) {
 		panic(fmt.Sprintf("gf: XorSlice src length %d exceeds dst %d", len(src), len(dst)))
 	}
-	k.hit(k.baseTier())
+	hit(k.onTable()) // a pure XOR: the same loop on either tier
 	for i, v := range src {
 		dst[i] ^= v
 	}
@@ -186,19 +128,22 @@ func (k *Kernels) MulConstSlice(dst, src []Elem, c Elem) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf: MulConstSlice length mismatch dst=%d src=%d", len(dst), len(src)))
 	}
-	switch c {
-	case 0:
-		k.hit(k.baseTier())
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	case 1:
-		k.hit(k.baseTier())
+	table := hit(k.onTable())
+	switch {
+	case c == 0:
+		clear(dst)
+	case c == 1:
 		copy(dst, src)
-		return
+	case table:
+		r := k.row(c)
+		for i, s := range src {
+			dst[i] = r[uint8(s)]
+		}
+	default:
+		for i, s := range src {
+			dst[i] = k.f.Mul(c, s)
+		}
 	}
-	k.dispatch(opMulConst).mulConst(dst, src, c)
 }
 
 // MulConstAddSlice folds c * src into dst: dst[i] ^= c * src[i] — the
@@ -208,82 +153,112 @@ func (k *Kernels) MulConstAddSlice(dst, src []Elem, c Elem) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf: MulConstAddSlice length mismatch dst=%d src=%d", len(dst), len(src)))
 	}
-	switch c {
-	case 0:
-		k.hit(k.baseTier())
-		return
-	case 1:
-		k.hit(k.baseTier())
+	table := hit(k.onTable())
+	switch {
+	case c == 0:
+	case c == 1:
 		for i, v := range src {
 			dst[i] ^= v
 		}
-		return
+	case table:
+		r := k.row(c)
+		for i, s := range src {
+			dst[i] ^= r[uint8(s)]
+		}
+	default:
+		for i, s := range src {
+			dst[i] ^= k.f.Mul(c, s)
+		}
 	}
-	k.dispatch(opMulConstAdd).mulConstAdd(dst, src, c)
-}
-
-// DotSlice returns the inner product sum_i a[i]*b[i]. Both slices must
-// have equal length.
-func (k *Kernels) DotSlice(a, b []Elem) Elem {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("gf: DotSlice length mismatch a=%d b=%d", len(a), len(b)))
-	}
-	return k.dispatch(opDot).dot(a, b)
-}
-
-// HornerSlice evaluates the polynomial whose coefficients are given in
-// transmission order — word[0] is the highest-degree coefficient — at x:
-//
-//	acc <- acc*x + word[i]   for i = 0..len(word)-1
-//
-// This is the received-word layout of the RS/BCH codecs and the paper's
-// syndrome recursion S_j <- S_j*alpha^j + R.
-func (k *Kernels) HornerSlice(word []Elem, x Elem) Elem {
-	return k.dispatch(opHorner).horner(word, x)
 }
 
 // EvalSlice evaluates the polynomial with coeffs[i] the coefficient of
 // x^i (package gfpoly's storage order) at x by Horner's rule.
 func (k *Kernels) EvalSlice(coeffs []Elem, x Elem) Elem {
-	return k.dispatch(opEval).eval(coeffs, x)
+	var acc Elem
+	if hit(k.onTable()) {
+		r := k.row(x)
+		for i := len(coeffs) - 1; i >= 0; i-- {
+			acc = r[uint8(acc)] ^ coeffs[i]
+		}
+		return acc
+	}
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = k.f.Mul(acc, x) ^ coeffs[i]
+	}
+	return acc
 }
 
-// SyndromeSlice sets dst[j] = HornerSlice(word, xs[j]) for every
-// evaluation point — the multi-point syndrome kernel. The table tier
-// runs four independent accumulator chains per pass (the software image
-// of the paper's 4-lane SIMD). dst and xs must have equal length.
+// SyndromeSlice sets dst[j] to the Horner value of word at xs[j], for
+// every evaluation point: the coefficients are in transmission order
+// (word[0] is the highest-degree one), so each point runs
+//
+//	acc <- acc*xs[j] + word[i]   for i = 0..len(word)-1
+//
+// the received-word layout of the RS/BCH codecs and the paper's
+// syndrome recursion S_j <- S_j*alpha^j + R. The table loop runs four
+// independent accumulator chains per pass (the software image of the
+// paper's 4-lane SIMD). dst and xs must have equal length.
 func (k *Kernels) SyndromeSlice(dst []Elem, word []Elem, xs []Elem) {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("gf: SyndromeSlice length mismatch dst=%d xs=%d", len(dst), len(xs)))
 	}
-	k.dispatch(opSyndrome).syndrome(dst, word, xs)
-}
-
-// HornerBitSlice is HornerSlice for a binary word stored one bit per
-// byte (values 0/1), the BCH codeword layout.
-func (k *Kernels) HornerBitSlice(bits []byte, x Elem) Elem {
-	return k.dispatch(opHornerBit).hornerBit(bits, x)
+	if hit(k.onTable()) {
+		syndromeRows(k, dst, word, xs)
+	} else {
+		syndromeScalar(k.f, dst, word, xs)
+	}
 }
 
 // SyndromeBitSlice is SyndromeSlice for a binary word stored one bit per
-// byte — the BCH syndrome kernel.
+// byte (values 0/1) — the BCH syndrome kernel.
 func (k *Kernels) SyndromeBitSlice(dst []Elem, bits []byte, xs []Elem) {
 	if len(dst) != len(xs) {
 		panic(fmt.Sprintf("gf: SyndromeBitSlice length mismatch dst=%d xs=%d", len(dst), len(xs)))
 	}
-	k.dispatch(opSyndromeBit).syndromeBit(dst, bits, xs)
+	if hit(k.onTable()) {
+		syndromeRows(k, dst, bits, xs)
+	} else {
+		syndromeScalar(k.f, dst, bits, xs)
+	}
+}
+
+// syndromeScalar is the scalar loop of SyndromeSlice and
+// SyndromeBitSlice.
+func syndromeScalar[S Elem | byte](f *Field, dst []Elem, word []S, xs []Elem) {
+	for j, x := range xs {
+		var acc Elem
+		for _, s := range word {
+			acc = f.Mul(acc, x) ^ Elem(s)
+		}
+		dst[j] = acc
+	}
 }
 
 // ChienRoots appends to pos, in increasing order, every p in [0, n) at
 // which the polynomial lam (lam[i] the coefficient of x^i, package
 // gfpoly's order) vanishes at alpha^-p: the Chien search of a length-n
 // code, where a root at alpha^-p locates codeword index n-1-p. The table
-// tier keeps a packed term register, byte lane k-1 holding
+// loop keeps a packed term register, byte lane k-1 holding
 // lam[k]·alpha^-pk, and advances every lane by one lookup per point
-// (see tier_classic.go); the scalar reference evaluates lam by Horner's
-// rule at every point. pos grows only by the roots found.
+// (see table.go); the scalar loop evaluates lam by Horner's rule at
+// every point. pos grows only by the roots found.
 func (k *Kernels) ChienRoots(pos []int, lam []Elem, n int) []int {
-	return k.dispatch(opChien).chien(pos, lam, n)
+	if hit(k.onTable()) {
+		return k.chienRows(pos, lam, n)
+	}
+	f := k.f
+	for p := 0; p < n; p++ {
+		x := f.Exp(-p)
+		var acc Elem
+		for i := len(lam) - 1; i >= 0; i-- {
+			acc = f.Mul(acc, x) ^ lam[i]
+		}
+		if acc == 0 {
+			pos = append(pos, p)
+		}
+	}
+	return pos
 }
 
 // LFSR is a multiply-accumulate bank precomputed for one fixed
@@ -373,16 +348,15 @@ func packLanes(w []uint64, v []Elem) {
 //
 // updating par (length = len(coeffs)) in place. Seed par with zeros to
 // compute the systematic RS parity of msg — or, fed a whole received
-// word, its remainder r(x)·x^nk mod g(x). When the scalar tier is
-// forced process-wide the definitional multiply-accumulate route is
-// taken even if the bank exists, so forced-tier accounting stays honest.
+// word, its remainder r(x)·x^nk mod g(x). While the scalar force is
+// on the definitional multiply-accumulate route is taken even if the
+// bank exists, so the tier accounting stays honest.
 func (l *LFSR) Run(par, msg []Elem) {
 	nk := l.nk
 	if len(par) != nk {
 		panic(fmt.Sprintf("gf: LFSR.Run register length %d, want %d", len(par), nk))
 	}
-	if l.tab == nil || l.k.baseTier() == TierScalar {
-		l.k.hit(TierScalar)
+	if !hit(l.tab != nil && l.k.onTable()) {
 		for _, s := range msg {
 			fb := s ^ par[0]
 			copy(par, par[1:])
@@ -393,7 +367,6 @@ func (l *LFSR) Run(par, msg []Elem) {
 		}
 		return
 	}
-	l.k.hit(TierTable)
 	var buf [lfsrMaxWords]uint64
 	reg := buf[:l.words]
 	packLanes(reg, par)

@@ -56,7 +56,7 @@ func TestKernelsTierSelection(t *testing.T) {
 // m = 8.
 func TestKernelsMulConstExhaustive(t *testing.T) {
 	for _, f := range kernelFields(t) {
-		k := f.Kernels()
+		k := f.Kernels().unforced()
 		src := make([]Elem, f.Order())
 		for x := range src {
 			src[x] = Elem(x)
@@ -84,36 +84,28 @@ func TestKernelsMulConstExhaustive(t *testing.T) {
 }
 
 // TestKernelsBulkMatchesScalar is the tentpole property test: every bulk
-// operation on the fast kernels agrees with the pure-scalar reference,
+// operation's table loop agrees with the pure-scalar reference,
 // exhaustively over GF(2^4) evaluation points and randomized everywhere
 // else, for all default fields m = 2..8 and the AES field.
 func TestKernelsBulkMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, f := range kernelFields(t) {
-		fast, ref := f.Kernels(), f.ScalarKernels()
+		fast, ref := f.Kernels().unforced(), f.ScalarKernels()
 		exhaustive := f.M() == 4
 		for trial := 0; trial < 32; trial++ {
 			n := 1 + rng.Intn(300)
 			word := randElems(rng, f, n)
 			other := randElems(rng, f, n)
 
-			// Add/Xor.
+			// Xor.
 			d1, d2 := make([]Elem, n), make([]Elem, n)
-			fast.AddSlice(d1, word, other)
-			ref.AddSlice(d2, word, other)
-			assertEq(t, f, "AddSlice", d1, d2)
 			copy(d1, word)
 			copy(d2, word)
 			fast.XorSlice(d1, other)
 			ref.XorSlice(d2, other)
 			assertEq(t, f, "XorSlice", d1, d2)
 
-			// Dot product.
-			if a, b := fast.DotSlice(word, other), ref.DotSlice(word, other); a != b {
-				t.Fatalf("%v: DotSlice %#x != %#x", f, a, b)
-			}
-
-			// Horner / Eval at every x (exhaustive for GF(2^4), sampled above).
+			// Eval at every x (exhaustive for GF(2^4), sampled above).
 			var points []Elem
 			if exhaustive {
 				for x := 0; x < f.Order(); x++ {
@@ -124,9 +116,6 @@ func TestKernelsBulkMatchesScalar(t *testing.T) {
 				points = append(points, 0, 1)
 			}
 			for _, x := range points {
-				if a, b := fast.HornerSlice(word, x), ref.HornerSlice(word, x); a != b {
-					t.Fatalf("%v: HornerSlice(x=%#x) %#x != %#x", f, x, a, b)
-				}
 				if a, b := fast.EvalSlice(word, x), ref.EvalSlice(word, x); a != b {
 					t.Fatalf("%v: EvalSlice(x=%#x) %#x != %#x", f, x, a, b)
 				}
@@ -135,8 +124,9 @@ func TestKernelsBulkMatchesScalar(t *testing.T) {
 				assertEq(t, f, "MulConstSlice", d1, d2)
 			}
 
-			// Batched syndromes: lengths 1..9 cover the 4-way unroll plus tail.
-			for _, np := range []int{1, 3, 4, 5, 8, 9} {
+			// Batched syndromes: lengths 1..9 cover the 4-way unroll plus
+			// tail, and the last pass takes every point.
+			for _, np := range []int{1, 3, 4, 5, 8, 9, len(points)} {
 				xs := points
 				if len(xs) > np {
 					xs = xs[:np]
@@ -152,11 +142,6 @@ func TestKernelsBulkMatchesScalar(t *testing.T) {
 			for i := range bits {
 				bits[i] = byte(rng.Intn(2))
 			}
-			for _, x := range points {
-				if a, b := fast.HornerBitSlice(bits, x), ref.HornerBitSlice(bits, x); a != b {
-					t.Fatalf("%v: HornerBitSlice(x=%#x) %#x != %#x", f, x, a, b)
-				}
-			}
 			s1, s2 := make([]Elem, len(points)), make([]Elem, len(points))
 			fast.SyndromeBitSlice(s1, bits, points)
 			ref.SyndromeBitSlice(s2, bits, points)
@@ -168,8 +153,8 @@ func TestKernelsBulkMatchesScalar(t *testing.T) {
 // TestBitslicedSyndromePointCounts checks the batched syndromes — the
 // word-wide SyndromeSlice and the bit-sliced SyndromeBitSlice — at every
 // point count 1..9 (the 4-way accumulator unroll plus each tail length)
-// on the table tier and on the default dispatch, against the scalar
-// reference. m = 16 has no table tier and pins the fallback path.
+// on Field.Kernels and on its table loops, against the scalar
+// reference. m = 16 has no table and runs the scalar loops.
 func TestBitslicedSyndromePointCounts(t *testing.T) {
 	for _, m := range []int{4, 8, 16} {
 		f := MustDefault(m)
@@ -180,7 +165,7 @@ func TestBitslicedSyndromePointCounts(t *testing.T) {
 		for i := range bits {
 			bits[i] = byte(rng.Intn(2))
 		}
-		for _, k := range []*Kernels{f.Kernels(), f.Kernels().forTier(TierTable)} {
+		for _, k := range []*Kernels{f.Kernels(), f.Kernels().unforced()} {
 			for np := 1; np <= 9; np++ {
 				xs := randElems(rng, f, np)
 				got, want := make([]Elem, np), make([]Elem, np)
@@ -334,8 +319,9 @@ func TestKernelsWideFieldScalar(t *testing.T) {
 	for _, r := range word {
 		acc = f.Mul(acc, x) ^ r
 	}
-	if got := k.HornerSlice(word, x); got != acc {
-		t.Fatalf("HornerSlice = %#x, want %#x", got, acc)
+	var got [1]Elem
+	if k.SyndromeSlice(got[:], word, []Elem{x}); got[0] != acc {
+		t.Fatalf("SyndromeSlice = %#x, want %#x", got[0], acc)
 	}
 	dst := make([]Elem, len(word))
 	k.MulConstSlice(dst, word, x)
@@ -381,12 +367,11 @@ func TestStrideCopies(t *testing.T) {
 func TestKernelsLengthPanics(t *testing.T) {
 	k := MustDefault(8).Kernels()
 	for name, fn := range map[string]func(){
-		"AddSlice":         func() { k.AddSlice(make([]Elem, 2), make([]Elem, 3), make([]Elem, 2)) },
 		"XorSlice":         func() { k.XorSlice(make([]Elem, 2), make([]Elem, 3)) },
 		"MulConstSlice":    func() { k.MulConstSlice(make([]Elem, 2), make([]Elem, 3), 2) },
 		"MulConstAddSlice": func() { k.MulConstAddSlice(make([]Elem, 2), make([]Elem, 3), 2) },
-		"DotSlice":         func() { k.DotSlice(make([]Elem, 2), make([]Elem, 3)) },
 		"SyndromeSlice":    func() { k.SyndromeSlice(make([]Elem, 2), nil, make([]Elem, 3)) },
+		"SyndromeBitSlice": func() { k.SyndromeBitSlice(make([]Elem, 2), nil, make([]Elem, 3)) },
 	} {
 		func() {
 			defer func() {

@@ -11,19 +11,21 @@ import (
 // counting which hardware datapath a GF instruction was issued to. The
 // counters are process-wide so a metrics registry can report how much
 // of the workload ran on each tier without threading a registry into
-// every codec. Alongside the counters, the fixed rule's per-(field, op)
-// tier selections are published for the observability plane.
+// every codec. Alongside the counters, each field's per-op binding is
+// published for the observability plane.
 
 var tierCalls [NumTiers]atomic.Int64
 
-// hit records one bulk-kernel invocation served by tier t.
-func (k *Kernels) hit(t TierID) { tierCalls[t].Add(1) }
-
-// Tier names the tier matching this Kernels' field shape ("table"
-// m <= 8, "scalar" above), or "scalar" on a pinned-scalar view. Ops the
-// table tier lacks still run on scalar; see Selections for the per-op
-// picture.
-func (k *Kernels) Tier() string { return tierNames[k.base] }
+// hit records one bulk-kernel invocation, served by the table tier when
+// table is set and by scalar otherwise, and returns table.
+func hit(table bool) bool {
+	if table {
+		tierCalls[TierTable].Add(1)
+	} else {
+		tierCalls[TierScalar].Add(1)
+	}
+	return table
+}
 
 // KernelCalls returns the process-wide cumulative number of bulk-kernel
 // invocations served by each tier, indexed by TierID (see TierNames).
@@ -35,10 +37,10 @@ func KernelCalls() [NumTiers]int64 {
 	return out
 }
 
-// TierSelection is the fixed rule's decision for one (Field, Op): the
-// tier that serves unpinned, unforced calls. The rule does not depend
-// on input length, so Below == Above and Crossover is always 0; the
-// shape is kept for the observability consumers that print it.
+// TierSelection is the binding for one (Field, Op): the tier that
+// serves Field.Kernels calls while the scalar force is off. It does not
+// depend on input length, so Below == Above and Crossover is always 0;
+// the shape is kept for the observability consumers that print it.
 type TierSelection struct {
 	Field     string `json:"field"`
 	Op        string `json:"op"`
@@ -53,7 +55,11 @@ var (
 	selRows   []TierSelection
 )
 
-// publishSelections records the rule's rows for k's field shape, once
+// selectionOps names the ops a field's binding covers, as Selections
+// reports them.
+var selectionOps = [...]string{"mulconst", "mulconstadd", "eval", "syndrome", "syndromebit", "chien"}
+
+// publishSelections records the binding's rows for k's field shape, once
 // per (m, poly) however many Field values alias it.
 func publishSelections(k *Kernels) {
 	key := uint64(k.f.m)<<32 | uint64(k.f.poly)
@@ -63,13 +69,13 @@ func publishSelections(k *Kernels) {
 		return
 	}
 	selShapes[key] = true
-	for op := kernelOp(0); op < numOps; op++ {
-		t := k.ruleTier(op).String()
-		selRows = append(selRows, TierSelection{Field: k.f.String(), Op: opNames[op], Below: t, Above: t})
+	t := k.Tier()
+	for _, op := range selectionOps {
+		selRows = append(selRows, TierSelection{Field: k.f.String(), Op: op, Below: t, Above: t})
 	}
 }
 
-// Selections returns the rule's decision for every field shape whose
+// Selections returns the binding of every field shape whose
 // kernels were built so far in this process, sorted by field then op.
 // Kernels build lazily on first use, so the list grows as fields come
 // into play.

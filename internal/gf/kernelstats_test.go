@@ -32,21 +32,21 @@ func TestKernelCallsCount(t *testing.T) {
 	}
 	buf := make([]Elem, 32)
 
-	// Force the table tier so accounting is deterministic whatever
+	// Lift the scalar force so accounting is deterministic whatever
 	// GFP_KERNEL_TIER the test process runs under.
-	ForceKernelTier(TierTable)
-	defer ForceKernelTier(TierAuto)
+	defer ForceScalarKernels(ScalarKernelsForced())
+	ForceScalarKernels(false)
 	k := f.Kernels()
 	before := KernelCalls()
-	k.AddSlice(buf, buf, buf)
+	k.XorSlice(buf, buf)
 	k.MulConstSlice(buf, buf, 3)
-	_ = k.HornerSlice(buf, 2)
+	_ = k.EvalSlice(buf, 2)
 	after := KernelCalls()
 	if grew := after[TierTable] - before[TierTable]; grew < 3 {
 		t.Errorf("table tier calls grew by %d, want >= 3", grew)
 	}
 
-	// A pinned-scalar view overrides the process-wide force.
+	// Scalar kernels charge scalar.
 	before = KernelCalls()
 	f.ScalarKernels().MulConstSlice(buf, buf, 3)
 	after = KernelCalls()
@@ -54,8 +54,8 @@ func TestKernelCallsCount(t *testing.T) {
 		t.Errorf("scalar tier calls grew by %d, want >= 1", grew)
 	}
 
-	// A scalar force reaches the auto view too.
-	ForceKernelTier(TierScalar)
+	// The scalar force reaches Field.Kernels too.
+	ForceScalarKernels(true)
 	before = KernelCalls()
 	k.MulConstSlice(buf, buf, 3)
 	after = KernelCalls()
@@ -78,8 +78,8 @@ func TestSelectionsPublished(t *testing.T) {
 			byOp[r.Op] = r
 		}
 	}
-	if len(byOp) != int(numOps) {
-		t.Fatalf("got %d selection rows for %v, want %d: %+v", len(byOp), f, numOps, rows)
+	if len(byOp) != len(selectionOps) {
+		t.Fatalf("got %d selection rows for %v, want %d: %+v", len(byOp), f, len(selectionOps), rows)
 	}
 	valid := map[string]bool{}
 	for _, n := range TierNames() {

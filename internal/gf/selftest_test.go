@@ -27,8 +27,11 @@ func TestVerifyKernelsAllFields(t *testing.T) {
 
 // TestVerifyKernelsCatchesCorruption: poison one product-table entry and
 // the differential check must report it (with the op name in the error),
-// proving the harness can actually detect a bad fast tier.
+// proving the harness can actually detect a bad table loop — with the
+// scalar force on as well as off, since the force moves Field.Kernels
+// onto the scalar loops but the table stays one lift of it away.
 func TestVerifyKernelsCatchesCorruption(t *testing.T) {
+	defer ForceScalarKernels(ScalarKernelsForced())
 	// Build a private field instance so the shared cached Kernels used by
 	// every other test stays intact.
 	poly, err := DefaultPoly(8)
@@ -41,17 +44,17 @@ func TestVerifyKernelsCatchesCorruption(t *testing.T) {
 		t.Fatal("m=8 field did not build the table tier")
 	}
 	// Corrupt 2*3 in the flat product table.
-	idx := 2*k.order + 3
-	orig := k.mul[idx]
-	k.mul[idx] = orig ^ 1
-	defer func() { k.mul[idx] = orig }()
+	k.mul[2*256+3] ^= 1
 
-	err = VerifyKernels(f, 32, 1)
-	if err == nil {
-		t.Fatal("VerifyKernels passed over a corrupted product table")
-	}
-	if !strings.Contains(err.Error(), "selftest") {
-		t.Errorf("corruption error %q does not mention selftest", err)
+	for _, force := range []bool{false, true} {
+		ForceScalarKernels(force)
+		err = VerifyKernels(f, 32, 1)
+		if err == nil {
+			t.Fatalf("force %v: VerifyKernels passed over a corrupted product table", force)
+		}
+		if !strings.Contains(err.Error(), "selftest") {
+			t.Errorf("force %v: corruption error %q does not mention selftest", force, err)
+		}
 	}
 }
 

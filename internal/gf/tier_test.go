@@ -43,21 +43,18 @@ func TestVerifyKernelsDefaultFields(t *testing.T) {
 	}
 }
 
+// TestParseTier: GFP_KERNEL_TIER takes scalar (the force on) and
+// auto or nothing (each field's binding); every other name, table and
+// the deleted tiers' included, is rejected.
 func TestParseTier(t *testing.T) {
-	for id := TierID(0); id < NumTiers; id++ {
-		got, err := ParseTier(id.String())
-		if err != nil || got != id {
-			t.Errorf("ParseTier(%q) = %v, %v; want %v", id.String(), got, err, id)
+	for v, want := range map[string]bool{"": false, "auto": false, "scalar": true} {
+		if got, err := parseTier(v); err != nil || got != want {
+			t.Errorf("parseTier(%q) = %v, %v; want %v", v, got, err, want)
 		}
 	}
-	for _, name := range []string{"", "auto"} {
-		if got, err := ParseTier(name); err != nil || got != TierAuto {
-			t.Errorf("ParseTier(%q) = %v, %v; want TierAuto", name, got, err)
-		}
-	}
-	for _, name := range []string{"simd", "packed", "bitsliced", "clmul"} {
-		if _, err := ParseTier(name); err == nil {
-			t.Errorf("ParseTier(%s): want error", name)
+	for _, v := range []string{"table", "simd", "packed", "bitsliced", "clmul"} {
+		if _, err := parseTier(v); err == nil {
+			t.Errorf("parseTier(%q): want error", v)
 		}
 	}
 }
@@ -91,73 +88,69 @@ func TestAvailableTiers(t *testing.T) {
 	}
 }
 
-// TestForcedTierRouting checks that the process-wide force routes every
-// auto-dispatched call onto the forced tier (with scalar fallback for
-// unimplemented ops) and that outputs stay bit-exact with the scalar
-// reference under every force.
+// TestForcedTierRouting checks the scalar force on a field whose product
+// table is corrupted, so each call's result shows which loop ran: with
+// the force on, Field.Kernels charges scalar and returns the scalar
+// product; with it off, it charges table and returns the table's; and
+// under the force the view VerifyKernels checks stays on the table.
 func TestForcedTierRouting(t *testing.T) {
-	defer ForceKernelTier(TierAuto)
-	f, err := NewDefault(8)
+	defer ForceScalarKernels(ScalarKernelsForced())
+	poly, err := DefaultPoly(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, ref := f.Kernels(), f.ScalarKernels()
-	n := 255
-	src := make([]Elem, n)
-	for i := range src {
-		src[i] = Elem(i)
-	}
-	want := make([]Elem, n)
-	ref.MulConstSlice(want, src, 0x57)
+	f := MustNew(8, poly) // private: the shared fields' tables stay intact
+	k := f.Kernels()
+	src := []Elem{3}
+	k.mul[0x57<<8|3] ^= 1
+	want := f.Mul(0x57, 3)
 
-	for id := TierID(0); id < NumTiers; id++ {
-		ForceKernelTier(id)
-		if got := ForcedKernelTier(); got != id {
-			t.Fatalf("ForcedKernelTier() = %v, want %v", got, id)
+	for _, tc := range []struct {
+		force bool
+		k     *Kernels
+		tier  TierID
+	}{
+		{true, k, TierScalar},
+		{true, k.unforced(), TierTable},
+		{false, k, TierTable},
+		{false, f.ScalarKernels(), TierScalar},
+	} {
+		ForceScalarKernels(tc.force)
+		if got := ScalarKernelsForced(); got != tc.force {
+			t.Fatalf("ScalarKernelsForced() = %v, want %v", got, tc.force)
 		}
-		got := make([]Elem, n)
+		var got [1]Elem
 		before := KernelCalls()
-		k.MulConstSlice(got, src, 0x57)
+		tc.k.MulConstSlice(got[:], src, 0x57)
 		after := KernelCalls()
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("forced %v: MulConstSlice[%d] = %d, want %d", id, i, got[i], want[i])
+		for id := TierID(0); id < NumTiers; id++ {
+			wantHits := int64(0)
+			if id == tc.tier {
+				wantHits = 1
+			}
+			if n := after[id] - before[id]; n != wantHits {
+				t.Errorf("force %v, %s view: %v charged %d calls, want %d", tc.force, tc.k.Tier(), id, n, wantHits)
 			}
 		}
-		// The hit lands on the forced tier when it implements the op for
-		// this field, on scalar otherwise.
-		charged := id
-		if k.tiers[id] == nil || !k.tiers[id].supports(opMulConst) {
-			charged = TierScalar
+		if tableProduct := want ^ 1; tc.tier == TierTable && got[0] != tableProduct {
+			t.Errorf("force %v: table loop returned %#x, want the corrupted entry %#x", tc.force, got[0], tableProduct)
+		} else if tc.tier == TierScalar && got[0] != want {
+			t.Errorf("force %v: scalar loop returned %#x, want %#x", tc.force, got[0], want)
 		}
-		if after[charged]-before[charged] < 1 {
-			t.Errorf("forced %v: no hit charged to %v", id, charged)
-		}
-	}
-	ForceKernelTier(TierAuto)
-
-	// A pin outranks the force: scalar views stay scalar under any force.
-	ForceKernelTier(TierTable)
-	before := KernelCalls()
-	got := make([]Elem, n)
-	ref.MulConstSlice(got, src, 0x57)
-	after := KernelCalls()
-	if after[TierScalar]-before[TierScalar] < 1 {
-		t.Error("pinned scalar view did not charge the scalar tier under a table force")
 	}
 }
 
-// ruleWant is the fixed rule written out independently of the
-// dispatcher: table for every op but dot on m <= 8, scalar otherwise.
-func ruleWant(m int, op string) TierID {
-	if m <= 8 && op != "dot" {
+// ruleWant is the per-field binding written out independently of the
+// kernels: table for every op on m <= 8, scalar otherwise.
+func ruleWant(m int) TierID {
+	if m <= 8 {
 		return TierTable
 	}
 	return TierScalar
 }
 
-// TestTierSelectionShape checks that Selections() reports the fixed
-// rule for every field shape whose kernels were built: one row per op,
+// TestTierSelectionShape checks that Selections() reports the binding
+// for every field shape whose kernels were built: one row per op,
 // Below == Above, Crossover 0.
 func TestTierSelectionShape(t *testing.T) {
 	fields := []*Field{AES()}
@@ -175,14 +168,14 @@ func TestTierSelectionShape(t *testing.T) {
 			t.Fatalf("selection field %q: %v", r.Field, err)
 		}
 		rows[r.Field]++
-		want := ruleWant(m, r.Op).String()
+		want := ruleWant(m).String()
 		if r.Below != want || r.Above != want || r.Crossover != 0 {
 			t.Errorf("%s op %s: selection %+v, want %s for all lengths", r.Field, r.Op, r, want)
 		}
 	}
 	for name, n := range rows {
-		if n != int(numOps) {
-			t.Errorf("%s: %d selection rows, want one per op (%d)", name, n, numOps)
+		if n != len(selectionOps) {
+			t.Errorf("%s: %d selection rows, want one per op (%d)", name, n, len(selectionOps))
 		}
 	}
 	for _, f := range fields {
@@ -192,13 +185,12 @@ func TestTierSelectionShape(t *testing.T) {
 	}
 }
 
-// TestAutoDispatchRule checks the fixed rule through the tier counters:
-// on m = 4, 5 and 8 the auto view charges table for every op the table
-// tier implements and scalar for DotSlice; on m = 12 and 16 it charges
-// scalar for everything.
+// TestAutoDispatchRule checks the binding through the tier counters:
+// with the force off, Field.Kernels charges table for every op on
+// m = 4, 5 and 8, and scalar for every op on m = 12 and 16.
 func TestAutoDispatchRule(t *testing.T) {
-	defer ForceKernelTier(ForcedKernelTier())
-	ForceKernelTier(TierAuto)
+	defer ForceScalarKernels(ScalarKernelsForced())
+	ForceScalarKernels(false)
 	for _, m := range []int{4, 5, 8, 12, 16} {
 		f := MustDefault(m)
 		k := f.Kernels()
@@ -217,15 +209,13 @@ func TestAutoDispatchRule(t *testing.T) {
 		}{
 			{"mulconst", func() { k.MulConstSlice(dst, a, 2) }},
 			{"mulconstadd", func() { k.MulConstAddSlice(dst, a, 2) }},
-			{"dot", func() { k.DotSlice(a, a) }},
-			{"horner", func() { k.HornerSlice(a, x) }},
 			{"eval", func() { k.EvalSlice(a, x) }},
 			{"syndrome", func() { k.SyndromeSlice(syn, a, xs) }},
-			{"hornerbit", func() { k.HornerBitSlice(bits, x) }},
 			{"syndromebit", func() { k.SyndromeBitSlice(syn, bits, xs) }},
+			{"chien", func() { k.ChienRoots(nil, a[:3], 8) }},
 		}
 		for _, op := range ops {
-			want := ruleWant(m, op.name)
+			want := ruleWant(m)
 			before := KernelCalls()
 			op.run()
 			after := KernelCalls()

@@ -16,7 +16,7 @@ func HasCLMUL() bool { return hasCLMUL }
 // UseCLMUL reports whether the hwclmul kernels serve: the CPU has the
 // instruction and the scalar kernel force (GFP_KERNEL_TIER=scalar) is
 // not set. MulStrategy and the GHASH of internal/aes both follow it.
-func UseCLMUL() bool { return hasCLMUL && gf.ForcedKernelTier() != gf.TierScalar }
+func UseCLMUL() bool { return hasCLMUL && !gf.ScalarKernelsForced() }
 
 // GHASHMul returns x·h in GHASH's field GF(2^128)/(x^128+x^7+x^2+x+1),
 // each element given as the big-endian halves of its 16-byte block (bit

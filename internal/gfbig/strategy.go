@@ -13,7 +13,7 @@ package gfbig
 //     runs it everywhere else.
 //
 // The scalar kernel force (GFP_KERNEL_TIER=scalar /
-// gf.ForceKernelTier(gf.TierScalar)) pins MulTo to schoolbook too, so
+// gf.ForceScalarKernels(true)) pins MulTo to schoolbook too, so
 // a forced-scalar run exercises the Go paths end to end. Nothing is
 // timed: every run on a host makes the same choice (UseCLMUL).
 

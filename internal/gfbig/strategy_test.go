@@ -13,27 +13,26 @@ import (
 // the schoolbook reference; a field without a one-pass fold schedule
 // always runs schoolbook.
 func TestMulStrategyRule(t *testing.T) {
-	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	defer gf.ForceScalarKernels(gf.ScalarKernelsForced())
 	fast := StratSchoolbook
 	if HasCLMUL() {
 		fast = StratHWClmul
 	}
 	wide := MustNew(233, 180, 0) // 180 > 233-64: no one-pass fold plan
 	for _, tc := range []struct {
-		f    *Field
-		tier gf.TierID
-		want Strategy
+		f      *Field
+		scalar bool
+		want   Strategy
 	}{
-		{F233(), gf.TierAuto, fast},
-		{F233(), gf.TierTable, fast},
-		{F233(), gf.TierScalar, StratSchoolbook},
-		{F163(), gf.TierAuto, fast},
-		{F571(), gf.TierAuto, fast},
-		{wide, gf.TierAuto, StratSchoolbook},
+		{F233(), false, fast},
+		{F233(), true, StratSchoolbook},
+		{F163(), false, fast},
+		{F571(), false, fast},
+		{wide, false, StratSchoolbook},
 	} {
-		gf.ForceKernelTier(tc.tier)
+		gf.ForceScalarKernels(tc.scalar)
 		if got := tc.f.MulStrategy(); got != tc.want {
-			t.Errorf("%v, force %v: MulStrategy() = %v, want %v", tc.f, tc.tier, got, tc.want)
+			t.Errorf("%v, scalar force %v: MulStrategy() = %v, want %v", tc.f, tc.scalar, got, tc.want)
 		}
 	}
 	if got, want := fmt.Sprint(wide.AvailableStrategies()), "[schoolbook]"; got != want {
@@ -42,24 +41,24 @@ func TestMulStrategyRule(t *testing.T) {
 }
 
 // TestMulForcedTierRouting: Mul and MulTo stay bit-exact with the
-// schoolbook reference under every kernel-tier force.
+// schoolbook reference with the scalar kernel force off and on.
 func TestMulForcedTierRouting(t *testing.T) {
-	defer gf.ForceKernelTier(gf.ForcedKernelTier())
+	defer gf.ForceScalarKernels(gf.ScalarKernelsForced())
 	f := F233()
 	s := f.NewScratch()
 	got := f.Zero()
 	rng := rand.New(rand.NewSource(233))
-	for _, tier := range []gf.TierID{gf.TierAuto, gf.TierScalar, gf.TierTable} {
-		gf.ForceKernelTier(tier)
+	for _, scalar := range []bool{false, true} {
+		gf.ForceScalarKernels(scalar)
 		for trial := 0; trial < 16; trial++ {
 			a, b := randElem(rng, f), randElem(rng, f)
 			want := f.Reduce(f.MulFull(a, b))
 			if m := f.Mul(a, b); !f.Equal(m, want) {
-				t.Fatalf("tier %v: Mul = %s, want %s", tier, f.Hex(m), f.Hex(want))
+				t.Fatalf("scalar force %v: Mul = %s, want %s", scalar, f.Hex(m), f.Hex(want))
 			}
 			f.MulTo(got, a, b, s)
 			if !f.Equal(got, want) {
-				t.Fatalf("tier %v: MulTo = %s, want %s", tier, f.Hex(got), f.Hex(want))
+				t.Fatalf("scalar force %v: MulTo = %s, want %s", scalar, f.Hex(got), f.Hex(want))
 			}
 		}
 	}

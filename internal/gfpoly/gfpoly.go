@@ -5,9 +5,9 @@
 // and exhaustive root finding (Chien search).
 //
 // The coefficient loops run on gf.Kernels, so each call is served by
-// the kernel tier (table or scalar) the fixed per-op rule — or a
-// GFP_KERNEL_TIER force — picks; results are bit-exact regardless of
-// tier (see docs/GF.md).
+// the tier the field's kernels are bound to (the product table for
+// m <= 8, scalar above, scalar everywhere under GFP_KERNEL_TIER=scalar);
+// results are bit-exact regardless of tier (see docs/GF.md).
 package gfpoly
 
 import (

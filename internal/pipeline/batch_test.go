@@ -16,14 +16,7 @@ import (
 func rsBatchPipeline(t *testing.T, cfg Config, batch int) *Pipeline {
 	t.Helper()
 	c := rs.Must(gf.MustDefault(8), 255, 239)
-	enc, err := NewRSEncode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewRSDecode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc, dec := rsStages(t, c, 1)
 	flip := Func{Label: "flip", F: func(f *Frame) error {
 		for w := 0; w < len(f.Data)/c.N; w++ {
 			cw := f.Data[w*c.N : (w+1)*c.N]
@@ -140,10 +133,7 @@ func TestPartialFinalBatch(t *testing.T) {
 // corrupting the chunk walk.
 func TestBatchLengthValidation(t *testing.T) {
 	c := rs.Must(gf.MustDefault(8), 255, 239)
-	enc, err := NewRSEncode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc, _ := rsStages(t, c, 1)
 	p := Must(Config{Workers: 1, Queue: 2}, enc)
 	r := p.Start()
 	frames, err := r.Drain([][]byte{make([]byte, c.K+1), {}})

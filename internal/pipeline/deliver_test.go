@@ -76,14 +76,7 @@ func TestStartFuncCompletionOrder(t *testing.T) {
 // allocate nothing per frame once the pools are warm.
 func TestSubmitDeliverFuncZeroAlloc(t *testing.T) {
 	c := rs.Must(gf.MustDefault(8), 255, 223)
-	e, err := NewRSEncode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewRSDecode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, d := rsStages(t, c, 1)
 	delivered := make(chan bool, 1)
 	r := Must(Config{Workers: 1, Queue: 4}, e, d).StartFunc(func(f *Frame) {
 		ok := f.Err == nil

@@ -88,8 +88,8 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 
 // RegisterGFKernelMetrics registers the process-wide gf bulk-kernel
 // tier counters — one series per tier (scalar, table), labeled with
-// the tier's name — plus the active kernel-tier override as a gauge.
-// Call at most once per registry.
+// the tier's name — plus the scalar kernel force as a gauge. Call at
+// most once per registry.
 func RegisterGFKernelMetrics(reg *obs.Registry) {
 	for i, tier := range gf.TierNames() {
 		id := i
@@ -98,10 +98,10 @@ func RegisterGFKernelMetrics(reg *obs.Registry) {
 			func() int64 { return gf.KernelCalls()[id] }, obs.L("tier", tier))
 	}
 	reg.GaugeFunc("gfp_gf_kernel_tier_forced",
-		"Process-wide forced kernel tier as a TierID (0 = scalar, 1 = table, -1 = auto).",
+		"Process-wide kernel force: 0 = scalar (GFP_KERNEL_TIER=scalar), -1 = none (each field's binding).",
 		func() float64 {
-			if t := gf.ForcedKernelTier(); t != gf.TierAuto {
-				return float64(t)
+			if gf.ScalarKernelsForced() {
+				return 0
 			}
 			return -1
 		})

@@ -51,14 +51,7 @@ func randPayloads(t testing.TB, count, size int, seed int64) [][]byte {
 // exercises concurrent Encode/Decode on the shared codec.
 func TestPipelineRSOrderedRoundTrip(t *testing.T) {
 	code := rs.Must(gf.MustDefault(8), 255, 239)
-	enc, err := NewRSEncode(code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewRSDecode(code)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc, dec := rsStages(t, code, 1)
 	const frames, errsPerFrame = 300, 8
 	p := Must(Config{Workers: 4, Queue: 8}, enc, flipStage(errsPerFrame), dec)
 	payloads := randPayloads(t, frames, code.K, 1)
@@ -160,8 +153,7 @@ func TestPipelineSecureInterleavedLink(t *testing.T) {
 // round-trips.
 func TestPipelineErrorPropagation(t *testing.T) {
 	code := rs.Must(gf.MustDefault(8), 255, 239)
-	enc, _ := NewRSEncode(code)
-	dec, _ := NewRSDecode(code)
+	enc, dec := rsStages(t, code, 1)
 	const bad = 13 // seq to make uncorrectable
 	sabotage := Func{Label: "sabotage", F: func(f *Frame) error {
 		if f.Seq == bad {
@@ -210,8 +202,7 @@ func TestPipelineErrorPropagation(t *testing.T) {
 // deadlocks and ordering still holds when every channel is contended.
 func TestPipelineBackpressure(t *testing.T) {
 	code := rs.Must(gf.MustDefault(8), 15, 11)
-	enc, _ := NewRSEncode(code)
-	dec, _ := NewRSDecode(code)
+	enc, dec := rsStages(t, code, 1)
 	p := Must(Config{Workers: 1, Queue: 1}, enc, flipStage(2), dec)
 	const frames = 200
 	payloads := randPayloads(t, frames, code.K, 4)
@@ -300,7 +291,7 @@ func TestPipelineBCHRoundTrip(t *testing.T) {
 // accounting in the stage stats.
 func TestMeteredRSDecodeCounts(t *testing.T) {
 	code := rs.Must(gf.MustDefault(8), 255, 239)
-	enc, _ := NewRSEncode(code)
+	enc, _ := rsStages(t, code, 1)
 	dec, err := NewMeteredRSDecode(code, kernels.GFProc)
 	if err != nil {
 		t.Fatal(err)

@@ -62,128 +62,8 @@ func requireByteField(f *gf.Field, what string) error {
 
 // --- Reed-Solomon ---
 
-// rsScratch is the per-worker working set of the plain RS stages: elem
-// staging for both codeword and message plus the decode buffer.
-type rsScratch struct {
-	msg []gf.Elem
-	cw  []gf.Elem
-	dec *rs.DecodeBuf
-}
-
-func newRSScratch(c *rs.Code) *rsScratch {
-	return &rsScratch{
-		msg: make([]gf.Elem, c.K),
-		cw:  make([]gf.Elem, c.N),
-		dec: c.NewDecodeBuf(),
-	}
-}
-
-// RSEncode encodes a k-byte message frame into an n-byte codeword.
-type RSEncode struct {
-	Code *rs.Code
-	sc   *rsScratch // per-worker; nil on the shared prototype
-}
-
-// NewRSEncode wraps the code's systematic encoder as a stage.
-func NewRSEncode(c *rs.Code) (*RSEncode, error) {
-	if err := requireByteField(c.F, "RSEncode"); err != nil {
-		return nil, err
-	}
-	return &RSEncode{Code: c}, nil
-}
-
-// Name implements Stage.
-func (s *RSEncode) Name() string { return fmt.Sprintf("rs-encode(%d,%d)", s.Code.N, s.Code.K) }
-
-// ForWorker implements WorkerLocal: each worker encodes through private
-// scratch, so the steady state allocates nothing.
-func (s *RSEncode) ForWorker(w int) Stage { return &RSEncode{Code: s.Code, sc: newRSScratch(s.Code)} }
-
-// Process implements Stage. The payload may pack several codewords: any
-// positive multiple of K encodes as that many back-to-back messages
-// (Config.Batch), reusing the same per-worker scratch for every chunk,
-// and Frame.Width records the inferred batch width.
-func (s *RSEncode) Process(f *Frame) error {
-	sc := s.sc
-	if sc == nil { // direct use of the shared prototype: stay concurrency-safe
-		sc = newRSScratch(s.Code)
-	}
-	k, n := s.Code.K, s.Code.N
-	if len(f.Data) == 0 || len(f.Data)%k != 0 {
-		return fmt.Errorf("rs: message length %d, want a positive multiple of %d", len(f.Data), k)
-	}
-	w := len(f.Data) / k
-	pb := getBuf(w * n)
-	for i := 0; i < w; i++ {
-		bytesToElemsInto(sc.msg, f.Data[i*k:(i+1)*k])
-		if _, err := s.Code.EncodeTo(sc.cw, sc.msg); err != nil {
-			putBuf(pb)
-			return err
-		}
-		elemsToBytesInto(pb.data[i*n:(i+1)*n], sc.cw)
-	}
-	f.Width = w
-	f.setPooled(pb)
-	return nil
-}
-
-// RSDecode corrects an n-byte received word into its k-byte message,
-// adding the number of corrected symbols to Frame.Corrected.
-type RSDecode struct {
-	Code *rs.Code
-	sc   *rsScratch // per-worker; nil on the shared prototype
-}
-
-// NewRSDecode wraps the full decoder datapath as a stage.
-func NewRSDecode(c *rs.Code) (*RSDecode, error) {
-	if err := requireByteField(c.F, "RSDecode"); err != nil {
-		return nil, err
-	}
-	return &RSDecode{Code: c}, nil
-}
-
-// Name implements Stage.
-func (s *RSDecode) Name() string { return fmt.Sprintf("rs-decode(%d,%d)", s.Code.N, s.Code.K) }
-
-// ForWorker implements WorkerLocal: each worker decodes through a private
-// rs.DecodeBuf, so the steady state allocates nothing.
-func (s *RSDecode) ForWorker(w int) Stage { return &RSDecode{Code: s.Code, sc: newRSScratch(s.Code)} }
-
-// Process implements Stage. Like RSEncode it accepts batched payloads:
-// any positive multiple of N decodes as that many received words. A
-// chunk failing to decode fails the whole frame (delivery accounting
-// then charges the frame's full codeword width).
-func (s *RSDecode) Process(f *Frame) error {
-	sc := s.sc
-	if sc == nil {
-		sc = newRSScratch(s.Code)
-	}
-	k, n := s.Code.K, s.Code.N
-	if len(f.Data) == 0 || len(f.Data)%n != 0 {
-		return fmt.Errorf("rs: received length %d, want a positive multiple of %d", len(f.Data), n)
-	}
-	w := len(f.Data) / n
-	pb := getBuf(w * k)
-	for i := 0; i < w; i++ {
-		bytesToElemsInto(sc.cw, f.Data[i*n:(i+1)*n])
-		res, err := s.Code.DecodeTo(sc.dec, sc.cw)
-		if err != nil {
-			putBuf(pb)
-			return err
-		}
-		f.Corrected += res.NumErrors
-		if res.NumErrors > f.CorrectedMax {
-			f.CorrectedMax = res.NumErrors
-		}
-		elemsToBytesInto(pb.data[i*k:(i+1)*k], res.Message)
-	}
-	f.Width = w
-	f.setPooled(pb)
-	return nil
-}
-
-// rsFrameScratch is the per-worker working set of the interleaved RS
-// stages.
+// rsFrameScratch is the per-worker working set of the RS stages: elem
+// staging for the message and the frame, plus the codec's frame buffer.
 type rsFrameScratch struct {
 	msg   []gf.Elem
 	frame []gf.Elem
@@ -199,7 +79,8 @@ func newRSFrameScratch(iv *rs.Interleaved) *rsFrameScratch {
 }
 
 // RSFrameEncode encodes an I*k-byte message into a depth-I interleaved
-// I*n-byte frame (burst tolerance I*t symbols).
+// I*n-byte frame (burst tolerance I*t symbols). Depth 1 is the plain
+// code: a k-byte message into one n-byte codeword.
 type RSFrameEncode struct {
 	IV *rs.Interleaved
 	sc *rsFrameScratch // per-worker; nil on the shared prototype
@@ -310,7 +191,8 @@ func (s *RSFrameDecode) Process(f *Frame) error {
 	return nil
 }
 
-// MeteredRSDecode is RSDecode through the metered kernel datapath of
+// MeteredRSDecode is RSFrameDecode at depth 1 through the metered
+// kernel datapath of
 // internal/kernels: the same syndrome/BMA/Chien/Forney pipeline, but
 // each frame also charges its operation counts to Frame.Counts under the
 // chosen machine model, so stage stats accumulate the cycle accounting

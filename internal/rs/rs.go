@@ -17,11 +17,11 @@
 // one gf.Kernels.ChienRoots call over all n codeword points, and a
 // correction is checked by linearity: the corrected word's syndromes
 // vanish exactly when the located errors' own syndromes equal the
-// received word's. The serving implementation tier (the flat product
-// table on GF(2^8)) is bound per op by a fixed rule and can be pinned
-// process-wide with GFP_KERNEL_TIER; every tier is differentially
-// verified against the scalar reference, so codewords are bit-exact
-// regardless (see docs/GF.md).
+// received word's. The field's kernels are bound once (the flat
+// product table on GF(2^8)), and GFP_KERNEL_TIER=scalar moves them
+// process-wide onto the scalar reference loops; the table is
+// differentially verified against that reference, so codewords are
+// bit-exact regardless (see docs/GF.md).
 //
 // Concurrency: a *Code (and a *Interleaved wrapping it) is immutable
 // after construction — the generator polynomial and the underlying

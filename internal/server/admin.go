@@ -104,8 +104,8 @@ func (s *Server) Healthy() error {
 }
 
 // Statsz is the /statsz payload: the GFP1 stats-op snapshot plus the
-// full metrics registry, the GF kernel-tier selections (which
-// implementation tier the fixed rule binds to each (field, op)) and
+// full metrics registry, the GF kernel-tier selections (the
+// implementation tier each field's binding gives each (field, op)) and
 // the SLO status — a superset of what the wire protocol's OpStats
 // returns.
 type Statsz struct {

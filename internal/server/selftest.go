@@ -1,9 +1,8 @@
 package server
 
 // Datapath self-verification: a serving process proves its math before
-// reporting healthy. Every GF kernel tier built for a field (the scalar
-// reference and, for m <= 8, the product table) is differentially
-// checked against the scalar reference for both fields
+// reporting healthy. The GF kernels' product-table loops are
+// differentially checked against the scalar reference for both fields
 // the server actually computes in — the RS field and the AES field —
 // via gf.VerifyKernels; every GHASH multiply the host can run against
 // the bit-serial reference (aes.VerifyGHASH); every AES block encrypt
@@ -28,7 +27,11 @@ import (
 )
 
 // selftestVectors is how many pseudo-random vectors per op each field is
-// checked with. At GF(2^8) one run is a few hundred microseconds.
+// checked with. On a 2-vCPU Xeon VM (go1.24.0) the first run with
+// New's defaults (the RS and AES fields, GHASH, the AES block and the
+// K-233 multiply) takes a median 6.9 ms over 15 fresh processes, and
+// gf.VerifyKernels on a fresh GF(2^8), its product table built inside
+// the call, a median 2.0 ms.
 const selftestVectors = 8
 
 // SelfTestResult reports one differential verification run.
@@ -36,7 +39,7 @@ type SelfTestResult struct {
 	OK        bool     `json:"ok"`
 	Fields    []string `json:"fields"`  // fields checked, e.g. "GF(2^8) poly=0x11d"
 	Tiers     []string `json:"tiers"`   // verified kernel tiers per field, comma-joined
-	Vectors   int      `json:"vectors"` // vectors per op per tier per field
+	Vectors   int      `json:"vectors"` // vectors per op per field
 	ElapsedNs int64    `json:"elapsed_ns"`
 	Error     string   `json:"error,omitempty"` // first disagreement, when !OK
 }

@@ -191,21 +191,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var enc, dec pipeline.Stage
-	if cfg.Depth == 1 {
-		if enc, err = pipeline.NewRSEncode(code); err != nil {
-			return nil, err
-		}
-		if dec, err = pipeline.NewRSDecode(code); err != nil {
-			return nil, err
-		}
-	} else {
-		if enc, err = pipeline.NewRSFrameEncode(iv); err != nil {
-			return nil, err
-		}
-		if dec, err = pipeline.NewRSFrameDecode(iv); err != nil {
-			return nil, err
-		}
+	enc, err := pipeline.NewRSFrameEncode(iv)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := pipeline.NewRSFrameDecode(iv)
+	if err != nil {
+		return nil, err
 	}
 	cipher, err := aes.NewCipher(cfg.Key)
 	if err != nil {

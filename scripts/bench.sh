@@ -6,14 +6,16 @@
 # max ns/op over the runs, and the median MB/s, B/op and allocs/op.
 #
 # Usage:
-#   scripts/bench.sh [out.json] [benchtime] [count]
+#   scripts/bench.sh out.json [benchtime] [count]
 #
-# Defaults: out=BENCH_17.json, benchtime=0.5s, count=5. Runs from the
-# repo root. The benchmark set covers the bulk GF kernel layer and
-# everything built on it: the op x field x tier matrix behind the fixed
-# kernel-tier rule (BenchmarkKernelOps), root RS/GF/pipeline benches
-# (including the batched pipeline variants and the per-kernel-tier
-# GFTier A/B rows: scalar vs table vs the auto rule), the per-package
+# out.json is required (the script never picks a file to overwrite) and
+# is relative to the repo root, where the script runs. Defaults:
+# benchtime=0.5s, count=5. The benchmark set covers the bulk GF kernel
+# layer and everything built on it: the op x field x tier matrix behind
+# binding every op of an m <= 8 field to the product table
+# (BenchmarkKernelOps), root RS/GF/pipeline benches (including the
+# batched pipeline variants and the GFTier A/B rows: each field's
+# binding, auto, vs the scalar force), the per-package
 # Bulk-vs-Scalar pairs in internal/rs, internal/bch, internal/aes and
 # the pipeline link chain, the GHASH block multiply per implementation
 # (table, hwclmul, the bit-serial reference), the AES block encrypt and
@@ -25,8 +27,12 @@
 # ECC engine ops built on them.
 set -euo pipefail
 
+if [ $# -lt 1 ] || [ -z "$1" ]; then
+    echo "usage: scripts/bench.sh out.json [benchtime] [count]" >&2
+    exit 2
+fi
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_17.json}"
+out="$1"
 benchtime="${2:-0.5s}"
 count="${3:-5}"
 
