@@ -62,10 +62,9 @@ func IrreduciblePolys(m int) []uint32 { return gf.IrreduciblePolys(m) }
 // ForceScalarKernels turns the process-wide scalar force on or off. A
 // field's bulk kernels are bound when built: the product table for
 // m <= 8, the scalar reference loops above. While the force is on,
-// every field runs the scalar loops, bit-exact with the table. Also
-// moves the wide-field multiply and AES-GCM off the carry-less multiply
-// and AES instructions. Equivalent to GFP_KERNEL_TIER=scalar; see
-// docs/GF.md.
+// every field runs the scalar loops, bit-exact with the table, and the
+// wide-field multiply and AES-GCM leave the carry-less multiply and AES
+// instructions. Equivalent to GFP_KERNEL_TIER=scalar; see docs/GF.md.
 func ForceScalarKernels(on bool) { gf.ForceScalarKernels(on) }
 
 // VerifyKernels differentially checks f's table kernels against the

@@ -29,9 +29,9 @@ import (
 // selftestVectors is how many pseudo-random vectors per op each field is
 // checked with. On a 2-vCPU Xeon VM (go1.24.0) the first run with
 // New's defaults (the RS and AES fields, GHASH, the AES block and the
-// K-233 multiply) takes a median 6.9 ms over 15 fresh processes, and
+// K-233 multiply) takes a median 5.3 ms over 15 fresh processes, and
 // gf.VerifyKernels on a fresh GF(2^8), its product table built inside
-// the call, a median 2.0 ms.
+// the call, a median 1.7 ms.
 const selftestVectors = 8
 
 // SelfTestResult reports one differential verification run.
