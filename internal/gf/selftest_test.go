@@ -6,7 +6,7 @@ import (
 )
 
 // TestVerifyKernelsAllFields: the differential check passes for every
-// default field the fast tiers cover, plus one wide field on the scalar
+// default field the table covers, plus one wide field on the scalar
 // path.
 func TestVerifyKernelsAllFields(t *testing.T) {
 	for m := 2; m <= 8; m++ {

@@ -8,7 +8,7 @@ import (
 // TestVerifyKernelsAllTiers is the exhaustive differential gate of the
 // kernel tiers: for EVERY irreducible polynomial of degree 2..8 (all
 // field shapes the codec layer can construct) plus the default
-// degree-16 field, every built tier must agree with the scalar
+// degree-16 field, the table loops must agree with the scalar
 // reference on every bulk op.
 func TestVerifyKernelsAllTiers(t *testing.T) {
 	for m := 2; m <= 8; m++ {
