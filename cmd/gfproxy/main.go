@@ -11,13 +11,16 @@
 // health checker probes the backend's /healthz (which a gfserved only
 // answers 200 after its datapath self-test passed) and the fleet
 // aggregator scrapes its /statsz; without one, health falls back to a
-// TCP dial of the GFP1 port.
+// TCP dial of the GFP1 port. Requests to one backend are pipelined on
+// one shared GFP1 connection, dialed on first use and redialed after it
+// fails; a forward unanswered after -forward-timeout is abandoned
+// without closing it.
 //
 // Usage:
 //
 //	gfproxy -backends HOST:A[@HOST:ADMIN],HOST:B,... [-addr :4660]
-//	        [-admin ADDR] [-replicas 64] [-retries 2] [-pool 4]
-//	        [-window 32] [-max-payload 1048576] [-tenant-inflight 0]
+//	        [-admin ADDR] [-replicas 64] [-retries 2] [-window 32]
+//	        [-max-payload 1048576] [-tenant-inflight 0]
 //	        [-route conn|request] [-health-interval 1s]
 //	        [-health-timeout 1s] [-fail-after 2] [-readmit-after 2]
 //	        [-dial-wait 1s] [-forward-timeout 30s] [-read-timeout 2m]
@@ -60,7 +63,6 @@ type cliConfig struct {
 	adminAddr      string
 	replicas       int
 	retries        int
-	pool           int
 	window         int
 	maxPayload     int
 	tenantInflight int
@@ -104,7 +106,6 @@ func main() {
 	flag.StringVar(&cfg.adminAddr, "admin", "", "admin HTTP listen address for /metrics, /healthz, /statsz and /debug/pprof (empty = off)")
 	flag.IntVar(&cfg.replicas, "replicas", 0, "virtual nodes per backend on the hash ring (0 = 64)")
 	flag.IntVar(&cfg.retries, "retries", 2, "extra forward attempts per request (idempotent ops only)")
-	flag.IntVar(&cfg.pool, "pool", 4, "idle GFP1 connections kept per backend")
 	flag.IntVar(&cfg.window, "window", 32, "max in-flight requests per client connection")
 	flag.IntVar(&cfg.maxPayload, "max-payload", server.DefaultMaxPayload, "max request payload bytes")
 	flag.IntVar(&cfg.tenantInflight, "tenant-inflight", 0, "max in-flight requests per client IP (0 = unlimited)")
@@ -171,7 +172,6 @@ func run(cfg cliConfig, out io.Writer) error {
 		Backends:       specs,
 		Replicas:       cfg.replicas,
 		Retries:        cfg.retries,
-		PoolSize:       cfg.pool,
 		DialWait:       cfg.dialWait,
 		ForwardTimeout: cfg.forwardTimeout,
 		Window:         cfg.window,

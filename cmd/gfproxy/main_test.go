@@ -93,7 +93,6 @@ func TestProxyServeAdminAndDrain(t *testing.T) {
 		backends:       a1 + "@" + adm1 + "," + a2 + "@" + adm2,
 		adminAddr:      "127.0.0.1:0",
 		retries:        2,
-		pool:           2,
 		window:         8,
 		maxPayload:     server.DefaultMaxPayload,
 		route:          "request",

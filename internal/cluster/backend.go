@@ -40,9 +40,9 @@ const (
 	stateEjected
 )
 
-// backend is one fleet member: its spec, health state and a small pool
-// of persistent GFP1 client connections. All methods are safe for
-// concurrent use.
+// backend is one fleet member: its spec, health state and the one
+// GFP1 client connection every forward to it pipelines on. All methods
+// are safe for concurrent use.
 type backend struct {
 	spec BackendSpec
 	idx  int
@@ -57,11 +57,11 @@ type backend struct {
 	consecOKs     int
 	lastHealthErr string
 
-	// Connection pool: idle clients ready to forward on. Broken clients
-	// are closed, never pooled.
-	pmu      sync.Mutex
-	idle     []*server.Client
-	poolSize int
+	// The shared connection (guarded by cmu), and the dial in flight
+	// while it is being (re)established.
+	cmu      sync.Mutex
+	cl       *server.Client
+	dial     *dialCall
 	dialWait time.Duration
 
 	// Counters surfaced per backend on the proxy's admin plane.
@@ -71,8 +71,16 @@ type backend struct {
 	readmits  atomic.Int64 // ejected -> healthy transitions
 }
 
-func newBackend(idx int, spec BackendSpec, poolSize int, dialWait time.Duration) *backend {
-	return &backend{spec: spec, idx: idx, poolSize: poolSize, dialWait: dialWait}
+// dialCall is one dial of a backend's shared connection; cl and err are
+// set before done closes.
+type dialCall struct {
+	done chan struct{}
+	cl   *server.Client
+	err  error
+}
+
+func newBackend(idx int, spec BackendSpec, dialWait time.Duration) *backend {
+	return &backend{spec: spec, idx: idx, dialWait: dialWait}
 }
 
 func (b *backend) healthy() bool { return b.state.Load() == stateHealthy }
@@ -85,44 +93,48 @@ func (b *backend) stateName() string {
 	return "ejected"
 }
 
-// get returns a pooled client or dials a fresh one.
-func (b *backend) get() (*server.Client, error) {
-	b.pmu.Lock()
-	if n := len(b.idle); n > 0 {
-		c := b.idle[n-1]
-		b.idle = b.idle[:n-1]
-		b.pmu.Unlock()
-		return c, nil
+// client returns the shared connection. It is dialed on first use, and
+// a connection that has failed (a backend closes one left idle past its
+// read timeout) is replaced on the next use. Concurrent callers wait
+// for one dial and share its result.
+func (b *backend) client() (*server.Client, error) {
+	b.cmu.Lock()
+	if cl := b.cl; cl != nil && cl.Err() == nil {
+		b.cmu.Unlock()
+		return cl, nil
 	}
-	b.pmu.Unlock()
-	return server.Dial(b.spec.Addr, b.dialWait)
+	if d := b.dial; d != nil {
+		b.cmu.Unlock()
+		<-d.done
+		return d.cl, d.err
+	}
+	d := &dialCall{done: make(chan struct{})}
+	b.dial = d
+	failed := b.cl
+	b.cl = nil
+	b.cmu.Unlock()
+	if failed != nil {
+		failed.Close()
+	}
+	// Dial without cmu: it can retry for dialWait, and ejection takes
+	// cmu to close the connection.
+	d.cl, d.err = server.Dial(b.spec.Addr, b.dialWait)
+	b.cmu.Lock()
+	b.dial = nil
+	b.cl = d.cl
+	b.cmu.Unlock()
+	close(d.done)
+	return d.cl, d.err
 }
 
-// put returns a client to the pool, or closes it when the pool is full
-// or the backend has been ejected (an ejected backend's sockets may be
-// half-dead; readmission starts from fresh dials).
-func (b *backend) put(c *server.Client) {
-	if !b.healthy() {
-		c.Close()
-		return
-	}
-	b.pmu.Lock()
-	if len(b.idle) < b.poolSize {
-		b.idle = append(b.idle, c)
-		b.pmu.Unlock()
-		return
-	}
-	b.pmu.Unlock()
-	c.Close()
-}
-
-// closePool drops every idle client (on ejection).
-func (b *backend) closePool() {
-	b.pmu.Lock()
-	idle := b.idle
-	b.idle = nil
-	b.pmu.Unlock()
-	for _, c := range idle {
-		c.Close()
+// closeClient closes the shared connection (on ejection and Shutdown).
+// Calls in flight on it fail; the next forward dials afresh.
+func (b *backend) closeClient() {
+	b.cmu.Lock()
+	cl := b.cl
+	b.cl = nil
+	b.cmu.Unlock()
+	if cl != nil {
+		cl.Close()
 	}
 }

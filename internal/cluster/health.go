@@ -13,10 +13,10 @@ import (
 // backend each interval, plus the passive failure reports the
 // forwarding path files when a dial or in-flight call dies. Both feed
 // the same consecutive-outcome counters: FailAfter consecutive failures
-// eject a backend (its pool is closed, the ring skips it), ReadmitAfter
-// consecutive successful probes readmit it. A backend with an admin
-// address is probed through its /healthz — which a gfserved only
-// answers 200 after its datapath self-test has passed — while a
+// eject a backend (its connection is closed, the ring skips it),
+// ReadmitAfter consecutive successful probes readmit it. A backend with
+// an admin address is probed through its /healthz — which a gfserved
+// only answers 200 after its datapath self-test has passed — while a
 // backend without one is probed with a bare TCP dial of its GFP1
 // address (liveness only).
 type health struct {
@@ -122,7 +122,7 @@ func (h *health) noteFailure(b *backend, err error) {
 	b.hmu.Unlock()
 	if eject {
 		b.ejections.Add(1)
-		b.closePool()
+		b.closeClient()
 		h.p.ctr.ejections.Add(1)
 		h.p.logf("cluster: ejected backend %s after %d consecutive failures: %v",
 			b.spec.Addr, h.failAfter, err)

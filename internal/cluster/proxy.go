@@ -32,14 +32,19 @@ type Config struct {
 	// after a transport failure; any op is re-routed when a backend
 	// refuses it unprocessed (Status.RetrySafe).
 	Retries int
-	// PoolSize is the idle GFP1 connections kept per backend (0 = 4).
+	// PoolSize is read by nothing: every forward to a backend pipelines
+	// on one shared connection. It remains so existing callers still
+	// compile.
+	//
+	// Deprecated: no effect.
 	PoolSize int
 	// DialWait bounds connection establishment to a backend, retrying
 	// refused dials (0 = 1s).
 	DialWait time.Duration
-	// ForwardTimeout bounds one forward attempt end to end; a backend
-	// that accepted the connection but never answers is treated as a
-	// transport failure (0 = 30s).
+	// ForwardTimeout bounds one forward attempt end to end (0 = 30s). A
+	// call the backend has not answered by then is abandoned and counts
+	// as a transport failure; the backend connection stays up for the
+	// other calls on it.
 	ForwardTimeout time.Duration
 	// Window caps each client connection's in-flight requests (0 = 32).
 	Window int
@@ -61,7 +66,11 @@ type Config struct {
 	// consecutive successful probes readmit it (0 = 2 each).
 	FailAfter, ReadmitAfter int
 	// ReadTimeout is the per-connection idle limit between requests;
-	// WriteTimeout bounds each response write (0 = none).
+	// WriteTimeout bounds each response write (0 = none). Deadlines are
+	// re-armed lazily (see server.Deadline): a connection idle for less
+	// than 7/8·ReadTimeout is never cut and one idle for ReadTimeout
+	// always is; likewise a write blocked for less than 7/8·WriteTimeout
+	// is never cut and one blocked for WriteTimeout is.
 	ReadTimeout, WriteTimeout time.Duration
 	// TraceEvery self-samples one in every TraceEvery untraced requests
 	// as a new root trace (0 = never). Requests that arrive with their
@@ -90,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 4
 	}
 	if c.DialWait <= 0 {
 		c.DialWait = time.Second
@@ -180,10 +186,10 @@ type Proxy struct {
 const proxyOpSlots = 10
 
 // New builds the proxy: the consistent-hash ring over the configured
-// backends, the per-backend connection pools, the admission table, and
-// the active health checker (which starts probing immediately, so a
-// dead backend is ejected before the first client request routes to
-// it).
+// backends (each backend's connection is dialed on first use), the
+// admission table, and the active health checker (which starts probing
+// immediately, so a dead backend is ejected before the first client
+// request routes to it).
 func New(cfg Config) (*Proxy, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
@@ -212,7 +218,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.backends = make([]*backend, len(cfg.Backends))
 	for i, spec := range cfg.Backends {
-		p.backends[i] = newBackend(i, spec, cfg.PoolSize, cfg.DialWait)
+		p.backends[i] = newBackend(i, spec, cfg.DialWait)
 	}
 	p.hc = newHealth(p, cfg.HealthInterval, cfg.HealthTimeout, cfg.FailAfter, cfg.ReadmitAfter)
 	return p, nil
@@ -304,7 +310,9 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 		p.handlerWG.Wait() // every in-flight forward answered or dropped
 		p.closeConns()
 		p.hc.Close()
-		p.closePools()
+		for _, b := range p.backends {
+			b.closeClient()
+		}
 	}()
 	select {
 	case <-done:
@@ -332,12 +340,6 @@ func (p *Proxy) closeConns() {
 	}
 }
 
-func (p *Proxy) closePools() {
-	for _, b := range p.backends {
-		b.closePool()
-	}
-}
-
 func (p *Proxy) isDraining() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -355,19 +357,15 @@ func (p *Proxy) healthyBackends() int {
 	return n
 }
 
-// armRead sets the idle read deadline for the next request, unless
-// draining.
+// armRead re-arms the idle read deadline for the next request when
+// due, unless draining (Shutdown's deadline kick must stay in force).
 func (p *Proxy) armRead(c *pconn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining {
 		return false
 	}
-	if rt := p.cfg.ReadTimeout; rt > 0 {
-		c.nc.SetReadDeadline(time.Now().Add(rt))
-	} else {
-		c.nc.SetReadDeadline(time.Time{})
-	}
+	c.rd.Arm(c.nc.SetReadDeadline, p.cfg.ReadTimeout)
 	return true
 }
 
@@ -382,10 +380,13 @@ type pconn struct {
 	key    uint64 // connection routing key
 
 	failOnce sync.Once
+	rd       server.Deadline // armed only by the read loop
 
-	wmu    sync.Mutex // serializes response writes
-	bw     *bufio.Writer
-	broken bool
+	writers atomic.Int32 // response writers holding or waiting for wmu
+	wmu     sync.Mutex   // serializes response writes
+	bw      *bufio.Writer
+	broken  bool
+	wd      server.Deadline
 }
 
 func (p *Proxy) startConn(nc net.Conn) {
@@ -750,73 +751,48 @@ func (p *Proxy) wideEvent(c *pconn, tc trace.Context, span uint64,
 	lg.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
 }
 
-// callBackend performs one forward attempt. A nil error means the
-// backend answered — possibly with an error status, which the caller
-// relays or retries by its own rules; a non-nil error is a transport
-// failure (dial, connection loss, or forward timeout) and the client
-// connection involved is discarded.
+// callBackend performs one forward attempt on the backend's shared
+// connection, bounded by ForwardTimeout. A nil error means the backend
+// answered — possibly with an error status, which the caller relays or
+// retries by its own rules; a non-nil error is a transport failure
+// (dial, connection loss, or a call abandoned at the timeout).
 func (p *Proxy) callBackend(b *backend, m *server.Message) (*server.Message, error) {
-	cl, err := b.get()
+	cl, err := b.client()
 	if err != nil {
 		return nil, err
 	}
-	type callResult struct {
-		m   *server.Message
-		err error
+	// DoTimeout (not Call) preserves the trace flag and extension the
+	// forward path injected into the attempt message.
+	rm, err := cl.DoTimeout(&server.Message{Op: m.Op, Flags: m.Flags, Params: m.Params, Payload: m.Payload},
+		p.cfg.ForwardTimeout)
+	var se *server.StatusError
+	if err != nil && !errors.As(err, &se) {
+		return nil, err
 	}
-	done := make(chan callResult, 1)
-	go func() {
-		// Do (not Call) preserves the trace flag and extension the
-		// forward path injected into the attempt message.
-		rm, cerr := cl.Do(&server.Message{Op: m.Op, Flags: m.Flags, Params: m.Params, Payload: m.Payload})
-		done <- callResult{rm, cerr}
-	}()
-	// A stopped timer, not time.After: under the module's go 1.22
-	// timer semantics an unexpired time.After timer is not collected,
-	// so every forward would pin one for the whole ForwardTimeout.
-	timer := time.NewTimer(p.cfg.ForwardTimeout)
-	defer timer.Stop()
-	var r callResult
-	select {
-	case r = <-done:
-	case <-timer.C:
-		cl.Close() // forces the pending Call to fail promptly
-		r = <-done
-		if r.err != nil {
-			return nil, fmt.Errorf("forward timeout after %v", p.cfg.ForwardTimeout)
-		}
-	}
-	if r.err != nil {
-		var se *server.StatusError
-		if errors.As(r.err, &se) && r.m != nil {
-			// The backend answered with an error status: a processed
-			// outcome, not a transport failure. Relay it.
-			b.put(cl)
-			return &server.Message{Op: r.m.Op, Status: r.m.Status, ID: m.ID, Payload: r.m.Payload}, nil
-		}
-		cl.Close()
-		return nil, r.err
-	}
-	b.put(cl)
-	return &server.Message{Op: r.m.Op, Status: r.m.Status, ID: m.ID, Payload: r.m.Payload}, nil
+	// An error status is a processed outcome, not a transport failure:
+	// relay it.
+	return &server.Message{Op: rm.Op, Status: rm.Status, ID: m.ID, Payload: rm.Payload}, nil
 }
 
 // write serializes one response onto the client socket. ledgered
 // responses are accounted as exactly one of responses/rejects/dropped.
+// Concurrent writers share a flush: the last one through wmu flushes the
+// responses the others left in the buffer. An unledgered (conn-fatal)
+// reply always flushes, since the connection closes right after it.
 func (c *pconn) write(m *server.Message, ledgered bool) {
+	c.writers.Add(1)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	last := c.writers.Add(-1) == 0
 	if c.broken {
 		if ledgered {
 			c.p.ctr.dropped.Add(1)
 		}
 		return
 	}
-	if wt := c.p.cfg.WriteTimeout; wt > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(wt))
-	}
+	c.wd.Arm(c.nc.SetWriteDeadline, c.p.cfg.WriteTimeout)
 	err := server.WriteResponse(c.bw, m)
-	if err == nil {
+	if err == nil && (last || !ledgered) {
 		err = c.bw.Flush()
 	}
 	if err != nil {

@@ -188,7 +188,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // checkLedger asserts the proxy's exact disjoint request ledger after
-// quiesce. pconn.write counts a reply only after flushing it, so a
+// quiesce. pconn.write counts a reply only after writing it, so a
 // client can hold its last reply before the counters show it: the
 // ledger is polled until it balances, for at most 5 s.
 func checkLedger(t *testing.T, p *Proxy) {
@@ -348,10 +348,14 @@ func TestProxyKillEjectReadmitUnderLoad(t *testing.T) {
 
 // fakeBackend is a scriptable GFP1 endpoint for failure-injection
 // tests: handle returns the response for a request, or ok=false to
-// kill the connection instead (a transport failure mid-call).
+// kill the connection instead (a transport failure mid-call). Like a
+// gfserved it keeps reading while handle runs, so a request handle
+// holds back delays no other on its connection. conns counts the
+// connections that carried a request.
 type fakeBackend struct {
 	ln     net.Listener
 	handle func(m *server.Message) (resp *server.Message, ok bool)
+	conns  atomic.Int32
 }
 
 func startFake(t *testing.T, handle func(m *server.Message) (*server.Message, bool)) *fakeBackend {
@@ -376,20 +380,27 @@ func startFake(t *testing.T, handle func(m *server.Message) (*server.Message, bo
 
 func (f *fakeBackend) serve(nc net.Conn) {
 	defer nc.Close()
+	var wmu sync.Mutex
 	br := bufio.NewReader(nc)
-	for {
+	for first := true; ; first = false {
 		m, err := server.ReadRequest(br, server.DefaultMaxPayload)
 		if err != nil {
 			return
 		}
-		resp, ok := f.handle(m)
-		if !ok {
-			return
+		if first {
+			f.conns.Add(1)
 		}
-		resp.ID = m.ID
-		if err := server.WriteResponse(nc, resp); err != nil {
-			return
-		}
+		go func() {
+			resp, ok := f.handle(m)
+			if !ok {
+				nc.Close()
+				return
+			}
+			resp.ID = m.ID
+			wmu.Lock()
+			defer wmu.Unlock()
+			server.WriteResponse(nc, resp)
+		}()
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,7 +32,8 @@ type Client struct {
 	nc net.Conn
 	bw *bufio.Writer
 
-	wmu sync.Mutex // serializes writes
+	wmu     sync.Mutex   // serializes writes
+	writers atomic.Int32 // callers writing or waiting for wmu
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -96,6 +99,19 @@ func (c *Client) fail(err error) {
 	c.mu.Unlock()
 }
 
+// Err returns the error that ended the connection, or nil while it can
+// still carry calls.
+func (c *Client) Err() error {
+	select {
+	case <-c.closed:
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.err
+	default:
+		return nil
+	}
+}
+
 // Close tears the connection down; in-flight calls fail.
 func (c *Client) Close() error {
 	err := c.nc.Close()
@@ -116,6 +132,14 @@ func (c *Client) Call(op Op, params, payload []byte) (*Message, error) {
 // Call's (op, params, payload) surface. A non-OK status comes back as a
 // *StatusError (alongside the raw response).
 func (c *Client) Do(m *Message) (*Message, error) {
+	return c.DoTimeout(m, 0)
+}
+
+// DoTimeout is Do bounded by d (0 means no bound). A call still
+// unanswered after d is abandoned: its id is dropped, so a late reply
+// is discarded, and the error wraps os.ErrDeadlineExceeded. The
+// connection stays up for the other calls on it.
+func (c *Client) DoTimeout(m *Message, d time.Duration) (*Message, error) {
 	ch := make(chan *Message, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -129,20 +153,31 @@ func (c *Client) Do(m *Message) (*Message, error) {
 	c.mu.Unlock()
 
 	m.ID = id
+	// Concurrent callers share a flush: the last one through wmu flushes
+	// the requests the others left in the buffer.
+	c.writers.Add(1)
 	c.wmu.Lock()
 	err := writeMessage(c.bw, m)
-	if err == nil {
-		err = c.bw.Flush()
+	if c.writers.Add(-1) == 0 {
+		if ferr := c.bw.Flush(); err == nil {
+			err = ferr
+		}
 	}
 	c.wmu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.forget(id)
 		c.fail(fmt.Errorf("server: send: %w", err))
 		return nil, err
 	}
 
+	var expired <-chan time.Time
+	if d > 0 {
+		// Stopped on return: under the module's go 1.22 timer semantics
+		// an unstopped timer stays live until it fires.
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
 	case resp := <-ch:
 		if resp.Status != StatusOK {
@@ -150,12 +185,20 @@ func (c *Client) Do(m *Message) (*Message, error) {
 		}
 		return resp, nil
 	case <-c.closed:
-		c.mu.Lock()
-		err := c.err
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, err
+		c.forget(id)
+		return nil, c.Err()
+	case <-expired:
+		c.forget(id)
+		return nil, fmt.Errorf("server: %v: no reply within %v: %w", m.Op, d, os.ErrDeadlineExceeded)
 	}
+}
+
+// forget drops a pending call; a reply that arrives for it later is
+// discarded by the read loop.
+func (c *Client) forget(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
 }
 
 // RSEncode encodes a k×depth-byte message into an n×depth-byte frame.

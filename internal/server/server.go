@@ -61,7 +61,10 @@ type Config struct {
 	Window int
 	// ReadTimeout is the per-connection idle limit between requests
 	// (0 = no limit). WriteTimeout bounds each response write (0 = no
-	// limit).
+	// limit). Deadlines are re-armed lazily (see Deadline): a connection
+	// idle for less than 7/8·ReadTimeout is never cut and one idle for
+	// ReadTimeout always is; likewise a write blocked for less than
+	// 7/8·WriteTimeout is never cut and one blocked for WriteTimeout is.
 	ReadTimeout, WriteTimeout time.Duration
 	// TraceEvery and TraceSlowest are read by nothing: the pipeline
 	// measures every frame's queue wait and keeps no sampled frame
@@ -428,21 +431,38 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// armRead sets the connection's idle read deadline for the next
-// request, unless the server is draining (in which case the deadline
-// kick from Shutdown must stay in force). Returns false when draining.
+// armRead re-arms the connection's idle read deadline for the next
+// request when due, unless the server is draining (in which case the
+// deadline kick from Shutdown must stay in force). Returns false when
+// draining.
 func (s *Server) armRead(c *conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return false
 	}
-	if rt := s.cfg.ReadTimeout; rt > 0 {
-		c.nc.SetReadDeadline(time.Now().Add(rt))
-	} else {
-		c.nc.SetReadDeadline(time.Time{})
-	}
+	c.rd.Arm(c.nc.SetReadDeadline, s.cfg.ReadTimeout)
 	return true
+}
+
+// Deadline re-arms one deadline of a connection lazily: only once the
+// armed deadline is more than an eighth of its limit old, which spares
+// the runtime poller a timer update on nearly every request. An Arm at
+// time t leaves the deadline between t+7/8·limit and t+limit. The zero
+// value is ready to use; it is not safe for concurrent use.
+type Deadline struct{ armed time.Time }
+
+// Arm pushes the deadline out to limit from now through set (a
+// net.Conn's SetReadDeadline or SetWriteDeadline) when the armed one is
+// more than limit/8 old. It does nothing for limit 0 (no deadline).
+func (d *Deadline) Arm(set func(time.Time) error, limit time.Duration) {
+	if limit <= 0 {
+		return
+	}
+	if now := time.Now(); now.Sub(d.armed) > limit/8 {
+		set(now.Add(limit))
+		d.armed = now
+	}
 }
 
 // outMsg is one queued response. f, when non-nil, is the pipeline frame
@@ -482,7 +502,9 @@ type conn struct {
 
 	failOnce sync.Once
 	lameOnce sync.Once
-	broken   bool // write side failed; set only by the write loop
+	broken   bool     // write side failed; set only by the write loop
+	rd       Deadline // read deadline; armed only by the read loop
+	wd       Deadline // write deadline; armed only by the write loop
 
 	// wqMu/wqClosed serialize reply routing against write-loop
 	// teardown: once the writer abandons the queue it flips wqClosed, so
@@ -616,13 +638,13 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 		}
 		return c.send(outMsg{m: &Message{Op: m.Op, ID: m.ID, Payload: payload}})
 	case OpRSEncode:
-		if bad, why := c.badRSLen(len(m.Payload), iv.FrameK()); bad {
+		if why := c.badRSLen(len(m.Payload), iv.FrameK()); why != "" {
 			return reject(StatusBadRequest, "rs-encode payload %dB, want %s of k×depth = %dB",
 				len(m.Payload), why, iv.FrameK())
 		}
 		return c.submit(m, m.Payload, tc, readAt)
 	case OpRSDecode:
-		if bad, why := c.badRSLen(len(m.Payload), iv.FrameN()); bad {
+		if why := c.badRSLen(len(m.Payload), iv.FrameN()); why != "" {
 			return reject(StatusBadRequest, "rs-decode payload %dB, want %s of n×depth = %dB",
 				len(m.Payload), why, iv.FrameN())
 		}
@@ -665,14 +687,20 @@ func nonceBody(m *Message) []byte {
 
 // badRSLen validates an RS request payload length against the frame
 // unit: exactly one unit with Batch 1 (the strict contract), otherwise
-// a positive multiple of the unit up to Batch units per request. The
-// returned description names the expectation for the rejection message.
-func (c *conn) badRSLen(n, unit int) (bad bool, why string) {
+// a positive multiple of the unit up to Batch units per request. It
+// returns "" for a valid length, else the expectation for the
+// rejection message, formatted only then.
+func (c *conn) badRSLen(n, unit int) string {
 	if b := c.s.cfg.Batch; b > 1 {
-		return n == 0 || n%unit != 0 || n > b*unit,
-			fmt.Sprintf("a positive multiple (max %d)", b)
+		if n == 0 || n%unit != 0 || n > b*unit {
+			return fmt.Sprintf("a positive multiple (max %d)", b)
+		}
+		return ""
 	}
-	return n != unit, "exactly 1×"
+	if n != unit {
+		return "exactly 1×"
+	}
+	return ""
 }
 
 // submit pushes one request into the shared pipeline, tagged with its
@@ -804,9 +832,7 @@ func (c *conn) account(om outMsg, written bool) {
 func (c *conn) write(om outMsg) {
 	written := false
 	if !c.broken {
-		if wt := c.s.cfg.WriteTimeout; wt > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(wt))
-		}
+		c.wd.Arm(c.nc.SetWriteDeadline, c.s.cfg.WriteTimeout)
 		err := writeMessage(c.bw, om.m)
 		if err == nil && len(c.writeq) == 0 {
 			err = c.bw.Flush()

@@ -321,6 +321,29 @@ func TestStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestRSLengthRejectText: an RS payload of the wrong length is rejected
+// with a message naming the payload and the frame-unit expectation, at
+// Batch 1 and above.
+func TestRSLengthRejectText(t *testing.T) {
+	for _, tc := range []struct {
+		batch   int
+		op      Op
+		payload int
+		want    string
+	}{
+		{16, OpRSEncode, 240, "rs-encode payload 240B, want a positive multiple (max 16) of k×depth = 239B"},
+		{16, OpRSDecode, 255 * 17, "rs-decode payload 4335B, want a positive multiple (max 16) of n×depth = 255B"},
+		{1, OpRSEncode, 240, "rs-encode payload 240B, want exactly 1× of k×depth = 239B"},
+	} {
+		_, addr := startServer(t, Config{Batch: tc.batch})
+		_, err := dialT(t, addr).Call(tc.op, nil, make([]byte, tc.payload))
+		var se *StatusError
+		if !errors.As(err, &se) || se.Status != StatusBadRequest || se.Msg != tc.want {
+			t.Errorf("batch %d %v %dB: %v, want %v %q", tc.batch, tc.op, tc.payload, err, StatusBadRequest, tc.want)
+		}
+	}
+}
+
 // TestMalformedFrames: framing violations get a status reply and then
 // the connection is closed (the stream cannot be resynchronized).
 func TestMalformedFrames(t *testing.T) {
