@@ -102,14 +102,9 @@ func (c *Client) fail(err error) {
 // Err returns the error that ended the connection, or nil while it can
 // still carry calls.
 func (c *Client) Err() error {
-	select {
-	case <-c.closed:
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.err
-	default:
-		return nil
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // Close tears the connection down; in-flight calls fail.

@@ -691,13 +691,10 @@ func nonceBody(m *Message) []byte {
 // returns "" for a valid length, else the expectation for the
 // rejection message, formatted only then.
 func (c *conn) badRSLen(n, unit int) string {
-	if b := c.s.cfg.Batch; b > 1 {
-		if n == 0 || n%unit != 0 || n > b*unit {
-			return fmt.Sprintf("a positive multiple (max %d)", b)
-		}
-		return ""
-	}
-	if n != unit {
+	switch b := c.s.cfg.Batch; {
+	case b > 1 && (n == 0 || n%unit != 0 || n > b*unit):
+		return fmt.Sprintf("a positive multiple (max %d)", b)
+	case b <= 1 && n != unit:
 		return "exactly 1×"
 	}
 	return ""
