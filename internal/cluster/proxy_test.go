@@ -348,14 +348,10 @@ func TestProxyKillEjectReadmitUnderLoad(t *testing.T) {
 
 // fakeBackend is a scriptable GFP1 endpoint for failure-injection
 // tests: handle returns the response for a request, or ok=false to
-// kill the connection instead (a transport failure mid-call). Like a
-// gfserved it keeps reading while handle runs, so a request handle
-// holds back delays no other on its connection. conns counts the
-// connections that carried a request.
+// kill the connection instead (a transport failure mid-call).
 type fakeBackend struct {
 	ln     net.Listener
 	handle func(m *server.Message) (resp *server.Message, ok bool)
-	conns  atomic.Int32
 }
 
 func startFake(t *testing.T, handle func(m *server.Message) (*server.Message, bool)) *fakeBackend {
@@ -380,27 +376,20 @@ func startFake(t *testing.T, handle func(m *server.Message) (*server.Message, bo
 
 func (f *fakeBackend) serve(nc net.Conn) {
 	defer nc.Close()
-	var wmu sync.Mutex
 	br := bufio.NewReader(nc)
-	for first := true; ; first = false {
+	for {
 		m, err := server.ReadRequest(br, server.DefaultMaxPayload)
 		if err != nil {
 			return
 		}
-		if first {
-			f.conns.Add(1)
+		resp, ok := f.handle(m)
+		if !ok {
+			return
 		}
-		go func() {
-			resp, ok := f.handle(m)
-			if !ok {
-				nc.Close()
-				return
-			}
-			resp.ID = m.ID
-			wmu.Lock()
-			defer wmu.Unlock()
-			server.WriteResponse(nc, resp)
-		}()
+		resp.ID = m.ID
+		if err := server.WriteResponse(nc, resp); err != nil {
+			return
+		}
 	}
 }
 

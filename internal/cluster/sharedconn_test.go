@@ -116,6 +116,51 @@ func TestProxyOneConnectionPerBackend(t *testing.T) {
 	checkLedger(t, p)
 }
 
+// startPipelinedFake runs a GFP1 backend that, like a gfserved and
+// unlike startFake, keeps reading while handle runs, so a request that
+// handle holds back delays no other on its connection. It returns the
+// address and a count of the connections that carried a request.
+func startPipelinedFake(t *testing.T, handle func(m *server.Message) *server.Message) (string, *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	conns := new(atomic.Int32)
+	serve := func(nc net.Conn) {
+		defer nc.Close()
+		var wmu sync.Mutex
+		br := bufio.NewReader(nc)
+		for first := true; ; first = false {
+			m, err := server.ReadRequest(br, server.DefaultMaxPayload)
+			if err != nil {
+				return
+			}
+			if first {
+				conns.Add(1)
+			}
+			go func() {
+				resp := handle(m)
+				resp.ID = m.ID
+				wmu.Lock()
+				defer wmu.Unlock()
+				server.WriteResponse(nc, resp)
+			}()
+		}
+	}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(nc)
+		}
+	}()
+	return ln.Addr().String(), conns
+}
+
 // TestProxyForwardTimeout: a backend that never answers one request
 // while it answers the others on the same connection. After
 // ForwardTimeout the call is abandoned as a transport failure: an
@@ -131,16 +176,17 @@ func TestProxyForwardTimeout(t *testing.T) {
 	var releaseOnce sync.Once
 	releaseHeld := func() { releaseOnce.Do(func() { close(release) }) }
 	defer releaseHeld()
-	handle := func(m *server.Message) (*server.Message, bool) {
+	handle := func(m *server.Message) *server.Message {
 		if len(m.Payload) > 0 && m.Payload[0] == 0xee && marked.CompareAndSwap(true, false) {
 			held <- struct{}{}
 			<-release // answered late: the proxy abandoned the call
 		}
-		return &server.Message{Op: m.Op, Payload: m.Payload}, true
+		return &server.Message{Op: m.Op, Payload: m.Payload}
 	}
-	f1, f2 := startFake(t, handle), startFake(t, handle)
+	a1, conns1 := startPipelinedFake(t, handle)
+	a2, conns2 := startPipelinedFake(t, handle)
 	p, addr := startProxy(t, fastHealth(Config{
-		Backends:       []BackendSpec{{Addr: f1.addr()}, {Addr: f2.addr()}},
+		Backends:       []BackendSpec{{Addr: a1}, {Addr: a2}},
 		ForwardTimeout: timeout,
 		FailAfter:      100, // no ejection: the connection must outlive the timeout
 	}))
@@ -216,7 +262,7 @@ func TestProxyForwardTimeout(t *testing.T) {
 			t.Fatalf("call %d after the late replies: %v", i, err)
 		}
 	}
-	if n1, n2 := f1.conns.Load(), f2.conns.Load(); n1 > 1 || n2 > 1 {
+	if n1, n2 := conns1.Load(), conns2.Load(); n1 > 1 || n2 > 1 {
 		t.Errorf("backend connections carrying requests = %d and %d, want at most 1 each", n1, n2)
 	}
 	checkLedger(t, p)
