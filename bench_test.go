@@ -735,7 +735,7 @@ func benchmarkPipelineRS(b *testing.B, workers, batch int) {
 		}
 		return nil
 	}}
-	p, err := pipeline.New(pipeline.Config{Workers: workers, Batch: batch}, enc, flip, dec)
+	p, err := pipeline.New(pipeline.Config{Workers: workers}, enc, flip, dec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func runFixed(cfg cliConfig, w io.Writer) (*result, error) {
 		stages = append(stages, pipeline.NewOpenAEAD(gcm, aad))
 	}
 
-	pl, err := pipeline.New(pipeline.Config{Workers: cfg.workers, Queue: cfg.queue, Batch: cfg.batch}, stages...)
+	pl, err := pipeline.New(pipeline.Config{Workers: cfg.workers, Queue: cfg.queue}, stages...)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func TestEpochSwitchMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := pipeline.New(pipeline.Config{Workers: 2, Queue: 4, Batch: 3}, enc, dec)
+	pl, err := pipeline.New(pipeline.Config{Workers: 2, Queue: 4}, enc, dec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -38,26 +37,27 @@ type ProxyCounters struct {
 	BytesOut         int64 `json:"bytes_out"`
 }
 
-// snapshot reads the counters terminal-outcomes-first (requests last),
-// so a live snapshot never shows Requests below the terminal sum.
-func (c *proxyCounters) snapshot() ProxyCounters {
-	out := ProxyCounters{
-		Responses:        c.responses.Load(),
-		Rejects:          c.rejects.Load(),
-		Dropped:          c.dropped.Load(),
-		ProtoErrors:      c.protoErrors.Load(),
-		Retries:          c.retries.Load(),
-		BackendFailures:  c.backendFails.Load(),
-		AdmissionRejects: c.admRejects.Load(),
-		Ejections:        c.ejections.Load(),
-		Readmits:         c.readmits.Load(),
+// snapshot reads the ledger terminal-outcomes-first (requests last, see
+// server.Ledger.Snapshot), so a live snapshot never shows Requests
+// below the terminal sum, then the proxy's own counters.
+func (p *Proxy) snapshot() ProxyCounters {
+	l := p.Ledger().Snapshot()
+	return ProxyCounters{
+		ConnsAccepted:    l.ConnsAccepted,
+		ConnsActive:      l.ConnsActive,
+		Requests:         l.Requests,
+		Responses:        l.Responses,
+		Rejects:          l.Rejects,
+		Dropped:          l.Dropped,
+		ProtoErrors:      l.ProtoErrors,
+		Retries:          p.ctr.retries.Load(),
+		BackendFailures:  p.ctr.backendFails.Load(),
+		AdmissionRejects: p.ctr.admRejects.Load(),
+		Ejections:        p.ctr.ejections.Load(),
+		Readmits:         p.ctr.readmits.Load(),
+		BytesIn:          l.BytesIn,
+		BytesOut:         l.BytesOut,
 	}
-	out.ConnsAccepted = c.connsAccepted.Load()
-	out.ConnsActive = c.connsActive.Load()
-	out.BytesIn = c.bytesIn.Load()
-	out.BytesOut = c.bytesOut.Load()
-	out.Requests = c.requests.Load()
-	return out
 }
 
 // RegisterMetrics registers the proxy ledger and per-backend routing
@@ -66,24 +66,25 @@ func (c *proxyCounters) snapshot() ProxyCounters {
 // both sets on one page without collisions. Call once per proxy per
 // registry.
 func (p *Proxy) RegisterMetrics(reg *obs.Registry) {
+	l := p.Ledger()
 	reg.CounterFunc("gfp_proxy_connections_accepted_total",
-		"Client connections accepted by the proxy.", p.ctr.connsAccepted.Load)
+		"Client connections accepted by the proxy.", l.ConnsAccepted.Load)
 	reg.GaugeFunc("gfp_proxy_connections_active",
 		"Client connections currently open on the proxy.",
-		func() float64 { return float64(p.ctr.connsActive.Load()) })
+		func() float64 { return float64(l.ConnsActive.Load()) })
 	reg.CounterFunc("gfp_proxy_requests_total",
-		"Requests framed off client connections.", p.ctr.requests.Load)
+		"Requests framed off client connections.", l.Requests.Load)
 	reg.CounterFunc("gfp_proxy_responses_total",
-		"OK responses relayed to clients.", p.ctr.responses.Load)
+		"OK responses relayed to clients.", l.Responses.Load)
 	reg.CounterFunc("gfp_proxy_rejects_total",
 		"Error-status responses written to clients (backend and proxy origin).",
-		p.ctr.rejects.Load)
+		l.Rejects.Load)
 	reg.CounterFunc("gfp_proxy_dropped_total",
 		"Requests whose response was never written (connection died).",
-		p.ctr.dropped.Load)
+		l.Dropped.Load)
 	reg.CounterFunc("gfp_proxy_protocol_errors_total",
 		"Framing violations that poisoned a client connection.",
-		p.ctr.protoErrors.Load)
+		l.ProtoErrors.Load)
 	reg.CounterFunc("gfp_proxy_retries_total",
 		"Forward attempts beyond the first (idempotent or retry-safe replays).",
 		p.ctr.retries.Load)
@@ -99,10 +100,10 @@ func (p *Proxy) RegisterMetrics(reg *obs.Registry) {
 		"Backend ejected->healthy transitions.", p.ctr.readmits.Load)
 	reg.CounterFunc("gfp_proxy_bytes_in_total",
 		"Request bytes read off client connections (headers included).",
-		p.ctr.bytesIn.Load)
+		l.BytesIn.Load)
 	reg.CounterFunc("gfp_proxy_bytes_out_total",
 		"Response bytes written to client connections (headers included).",
-		p.ctr.bytesOut.Load)
+		l.BytesOut.Load)
 	reg.GaugeFunc("gfp_proxy_backends",
 		"Configured fleet size.",
 		func() float64 { return float64(len(p.backends)) })
@@ -145,14 +146,8 @@ func (p *Proxy) RegisterMetrics(reg *obs.Registry) {
 // error to 503, so a load balancer in front of several proxies drains
 // one whose whole fleet is dark.
 func (p *Proxy) Healthy() error {
-	p.mu.Lock()
-	serving, draining := p.serving, p.draining
-	p.mu.Unlock()
-	switch {
-	case draining:
-		return errors.New("draining")
-	case !serving:
-		return errors.New("not serving")
+	if err := p.Accepting(); err != nil {
+		return err
 	}
 	if n := p.healthyBackends(); n == 0 {
 		return fmt.Errorf("0 of %d backends healthy", len(p.backends))
@@ -175,7 +170,7 @@ type Statsz struct {
 // sorted by class, and a fresh fleet scrape.
 func (p *Proxy) Statsz() Statsz {
 	sz := Statsz{
-		Proxy:   p.ctr.snapshot(),
+		Proxy:   p.snapshot(),
 		Tenants: p.adm.snapshot(),
 		Fleet:   p.fleetSnapshot(),
 		SLO:     p.cfg.SLO.Snapshot(),

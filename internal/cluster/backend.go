@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -58,11 +59,13 @@ type backend struct {
 	lastHealthErr string
 
 	// The shared connection (guarded by cmu), and the dial in flight
-	// while it is being (re)established.
+	// while it is being (re)established. down is set (under cmu) once
+	// the proxy has shut down: no connection is dialed after it.
 	cmu      sync.Mutex
 	cl       *server.Client
 	dial     *dialCall
 	dialWait time.Duration
+	down     atomic.Bool
 
 	// Counters surfaced per backend on the proxy's admin plane.
 	forwards  atomic.Int64 // requests forwarded (attempts, including retries)
@@ -99,6 +102,10 @@ func (b *backend) stateName() string {
 // for one dial and share its result.
 func (b *backend) client() (*server.Client, error) {
 	b.cmu.Lock()
+	if b.down.Load() {
+		b.cmu.Unlock()
+		return nil, errShutDown
+	}
 	if cl := b.cl; cl != nil && cl.Err() == nil {
 		b.cmu.Unlock()
 		return cl, nil
@@ -120,11 +127,26 @@ func (b *backend) client() (*server.Client, error) {
 	// cmu to close the connection.
 	d.cl, d.err = server.Dial(b.spec.Addr, b.dialWait)
 	b.cmu.Lock()
+	if d.err == nil && b.down.Load() {
+		d.cl.Close()
+		d.cl, d.err = nil, errShutDown
+	}
 	b.dial = nil
 	b.cl = d.cl
 	b.cmu.Unlock()
 	close(d.done)
 	return d.cl, d.err
+}
+
+// errShutDown fails forwards to a backend once the proxy has shut down.
+var errShutDown = errors.New("cluster: proxy shut down")
+
+// shut marks the backend down when the proxy shuts down: no connection
+// is dialed to it again, and no forward starts a new attempt on it.
+func (b *backend) shut() {
+	b.cmu.Lock()
+	b.down.Store(true)
+	b.cmu.Unlock()
 }
 
 // closeClient closes the shared connection (on ejection and Shutdown).

@@ -18,13 +18,13 @@ import (
 
 // FuzzProxyConn feeds arbitrary bytes over net.Pipe into one Proxy whose
 // backend is a live Server, both reused across inputs. Whatever the
-// bytes, nothing may panic; once the pipe has closed and the proxy's
-// handlers are done, the proxy's ledger must balance (every request it
-// framed reached exactly one terminal), the backend's must too once it
-// has counted its last reply, and the goroutine count must be back
-// where it started. The shared backend connection, dialed by a warm-up
-// input, keeps its goroutines (the client's read loop, the backend's
-// reader and writer) for the whole run.
+// bytes, nothing may panic; once the pipe has closed and the proxy has
+// quiesced, the proxy's ledger must balance (every request it framed
+// reached exactly one terminal), the backend's must too once it has
+// counted its last reply, and the goroutine count must be back where it
+// started. The shared backend connection, dialed by a warm-up input,
+// keeps its goroutines (the client's read loop and the backend's
+// reader) for the whole run.
 func FuzzProxyConn(f *testing.F) {
 	s, err := server.New(server.Config{Workers: 2, Window: 4})
 	if err != nil {
@@ -61,10 +61,10 @@ func FuzzProxyConn(f *testing.F) {
 
 		proxyConnRound(p, in)
 
-		if c := p.ctr.snapshot(); c.Requests != c.Responses+c.Rejects+c.Dropped {
+		if c := p.snapshot(); c.Requests != c.Responses+c.Rejects+c.Dropped {
 			t.Fatalf("proxy ledger unbalanced: %+v", c)
 		}
-		// The backend counts a reply just after writing it, so the proxy
+		// The backend counts a reply just after flushing it, so the proxy
 		// can hold it before the counters show it.
 		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 			c := s.Snapshot().Server
@@ -88,7 +88,7 @@ func FuzzProxyConn(f *testing.F) {
 // everything it framed.
 func proxyConnRound(p *Proxy, in []byte) {
 	cli, srv := net.Pipe()
-	p.startConn(srv)
+	p.ServeConn(srv)
 	drained := make(chan struct{})
 	go func() {
 		io.Copy(io.Discard, cli) // replies; ends when the pipe closes
@@ -97,8 +97,7 @@ func proxyConnRound(p *Proxy, in []byte) {
 	cli.Write(in) // fails early if the proxy hangs up on a framing error
 	cli.Close()
 	<-drained
-	p.readerWG.Wait()
-	p.handlerWG.Wait()
+	p.Quiesce()
 }
 
 // proxyConnSeeds is the seed corpus: one valid frame per op, a traced

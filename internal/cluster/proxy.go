@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,10 +63,10 @@ type Config struct {
 	FailAfter, ReadmitAfter int
 	// ReadTimeout is the per-connection idle limit between requests;
 	// WriteTimeout bounds each response write (0 = none). Deadlines are
-	// re-armed lazily (see server.Deadline): a connection idle for less
-	// than 7/8·ReadTimeout is never cut and one idle for ReadTimeout
-	// always is; likewise a write blocked for less than 7/8·WriteTimeout
-	// is never cut and one blocked for WriteTimeout is.
+	// re-armed lazily: a connection idle for less than 7/8·ReadTimeout
+	// is never cut and one idle for ReadTimeout always is; likewise a
+	// write blocked for less than 7/8·WriteTimeout is never cut and one
+	// blocked for WriteTimeout is.
 	ReadTimeout, WriteTimeout time.Duration
 	// TraceEvery self-samples one in every TraceEvery untraced requests
 	// as a new root trace (0 = never). Requests that arrive with their
@@ -127,50 +123,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// proxyCounters is the proxy-level ledger. Like the backend server's, it
-// is exact and disjoint: every framed request terminates as exactly one
-// of responses (an OK reply hit the wire), rejects (an error-status
-// reply hit the wire — including proxy-origin overload/unavailable) or
-// dropped (connection died first), so
-//
-//	requests == responses + rejects + dropped
-//
-// once the proxy quiesces. retries and backendFailures sit outside the
-// ledger (they count forward attempts, not client requests).
+// proxyCounters are the proxy's counters outside the request ledger
+// its Front keeps (see ProxyCounters): retries and backendFailures
+// count forward attempts, not client requests.
 type proxyCounters struct {
-	connsAccepted atomic.Int64
-	connsActive   atomic.Int64
-	requests      atomic.Int64
-	responses     atomic.Int64
-	rejects       atomic.Int64
-	dropped       atomic.Int64
-	protoErrors   atomic.Int64
-	retries       atomic.Int64
-	backendFails  atomic.Int64
-	admRejects    atomic.Int64
-	ejections     atomic.Int64
-	readmits      atomic.Int64
-	bytesIn       atomic.Int64
-	bytesOut      atomic.Int64
+	retries      atomic.Int64
+	backendFails atomic.Int64
+	admRejects   atomic.Int64
+	ejections    atomic.Int64
+	readmits     atomic.Int64
 }
 
 // Proxy is the GFP1 routing front door. Construct with New, run with
-// Serve (or ListenAndServe), stop with Shutdown.
+// Serve (or ListenAndServe), stop with Shutdown. Its client connections
+// run on the embedded server.Front, as a gfserved's do.
 type Proxy struct {
+	*server.Front
 	cfg      Config
 	ring     *ring
 	backends []*backend
 	adm      *admission
 	hc       *health
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*pconn]struct{}
-	serving  bool
-	draining bool
-
-	readerWG  sync.WaitGroup
-	handlerWG sync.WaitGroup
 
 	ctr proxyCounters
 
@@ -190,6 +163,12 @@ const proxyOpSlots = 10
 // admission table, and the active health checker (which starts probing
 // immediately, so a dead backend is ejected before the first client
 // request routes to it).
+//
+// Shutdown drains the client connections: every request already read is
+// forwarded and answered before they close. If its ctx expires first,
+// they are cut at once. Either way the health checker then stops and the
+// backend connections close, so forwards still held fail and start no
+// new attempt.
 func New(cfg Config) (*Proxy, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
@@ -213,9 +192,13 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:   cfg,
 		ring:  r,
 		adm:   newAdmission(cfg.TenantInflight),
-		conns: make(map[*pconn]struct{}),
 		spans: trace.NewRing(cfg.TraceRing),
 	}
+	p.Front = server.NewFront("cluster", server.Config{
+		Window: cfg.Window, MaxPayload: cfg.MaxPayload,
+		ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout,
+		Logf: cfg.Logf,
+	}, p.open, p.stop)
 	p.backends = make([]*backend, len(cfg.Backends))
 	for i, spec := range cfg.Backends {
 		p.backends[i] = newBackend(i, spec, cfg.DialWait)
@@ -230,120 +213,17 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-// ListenAndServe listens on addr and calls Serve.
-func (p *Proxy) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+// stop runs once Shutdown has drained or cut the client connections.
+func (p *Proxy) stop() {
+	p.hc.Close()
+	// Every backend is marked down before any connection closes, so a
+	// forward failed by the close finds no backend to retry on.
+	for _, b := range p.backends {
+		b.shut()
 	}
-	return p.Serve(ln)
-}
-
-// Serve accepts client connections on ln until Shutdown (which closes
-// ln) or a listener failure. It returns nil after a clean Shutdown.
-func (p *Proxy) Serve(ln net.Listener) error {
-	p.mu.Lock()
-	if p.draining {
-		p.mu.Unlock()
-		ln.Close()
-		return nil
+	for _, b := range p.backends {
+		b.closeClient()
 	}
-	if p.serving {
-		p.mu.Unlock()
-		ln.Close()
-		return errors.New("cluster: Serve called twice")
-	}
-	p.serving = true
-	p.ln = ln
-	p.mu.Unlock()
-
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			p.mu.Lock()
-			draining := p.draining
-			p.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		p.startConn(nc)
-	}
-}
-
-// Addr returns the listener address once Serve has been called (nil
-// before).
-func (p *Proxy) Addr() net.Addr {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ln == nil {
-		return nil
-	}
-	return p.ln.Addr()
-}
-
-// Shutdown gracefully stops the proxy: the listener closes, every
-// connection finishes reading its current request, all in-flight
-// forwards complete and their responses flush, then connections close.
-// If ctx expires first, remaining connections are cut and ctx.Err() is
-// returned. The health checker stops in either case.
-func (p *Proxy) Shutdown(ctx context.Context) error {
-	p.mu.Lock()
-	already := p.draining
-	p.draining = true
-	if p.ln != nil {
-		p.ln.Close()
-	}
-	for c := range p.conns {
-		c.nc.SetReadDeadline(time.Now())
-	}
-	p.mu.Unlock()
-	if already {
-		return errors.New("cluster: Shutdown called twice")
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.readerWG.Wait()  // no new requests framed
-		p.handlerWG.Wait() // every in-flight forward answered or dropped
-		p.closeConns()
-		p.hc.Close()
-		for _, b := range p.backends {
-			b.closeClient()
-		}
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		p.mu.Lock()
-		for c := range p.conns {
-			c.fail()
-		}
-		p.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
-
-func (p *Proxy) closeConns() {
-	p.mu.Lock()
-	conns := make([]*pconn, 0, len(p.conns))
-	for c := range p.conns {
-		conns = append(conns, c)
-	}
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.fail()
-	}
-}
-
-func (p *Proxy) isDraining() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.draining
 }
 
 // healthyBackends counts ring members currently admitted.
@@ -357,135 +237,69 @@ func (p *Proxy) healthyBackends() int {
 	return n
 }
 
-// armRead re-arms the idle read deadline for the next request when
-// due, unless draining (Shutdown's deadline kick must stay in force).
-func (p *Proxy) armRead(c *pconn) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.draining {
-		return false
-	}
-	c.rd.Arm(c.nc.SetReadDeadline, p.cfg.ReadTimeout)
-	return true
-}
-
-// pconn is one client connection through the proxy.
+// pconn is the proxy's state for one client connection: its admission
+// tenant and routing key.
 type pconn struct {
 	p      *Proxy
-	nc     net.Conn
-	sem    chan struct{} // window slots, held from read to response write
-	dead   chan struct{}
+	c      *server.Conn
 	tenant *tenant
-	host   string // remote host, the SLO/wide-event tenant key
 	key    uint64 // connection routing key
-
-	failOnce sync.Once
-	rd       server.Deadline // armed only by the read loop
-
-	writers atomic.Int32 // response writers holding or waiting for wmu
-	wmu     sync.Mutex   // serializes response writes
-	bw      *bufio.Writer
-	broken  bool
-	wd      server.Deadline
 }
 
-func (p *Proxy) startConn(nc net.Conn) {
-	host, _, err := net.SplitHostPort(nc.RemoteAddr().String())
-	if err != nil {
-		host = nc.RemoteAddr().String()
-	}
-	c := &pconn{
+// open returns the handler for one client connection's requests.
+func (p *Proxy) open(c *server.Conn) server.Handler {
+	pc := &pconn{
 		p:      p,
-		nc:     nc,
-		bw:     bufio.NewWriterSize(nc, 64<<10),
-		sem:    make(chan struct{}, p.cfg.Window),
-		dead:   make(chan struct{}),
-		tenant: p.adm.lookup(host),
-		host:   host,
-		key:    hashKey("conn:" + nc.RemoteAddr().String()),
+		c:      c,
+		tenant: p.adm.lookup(c.Host()),
+		key:    hashKey("conn:" + c.RemoteAddr().String()),
 	}
-	p.mu.Lock()
-	if p.draining {
-		p.mu.Unlock()
-		nc.Close()
+	return pc.handle
+}
+
+// handle answers a tenant over its admission budget at once, and hands
+// any other request to a goroutine of its own that forwards it.
+func (pc *pconn) handle(m *server.Message, readAt time.Time) {
+	p := pc.p
+	r := &preq{pc: pc, op: m.Op, readAt: readAt, tc: p.extractTrace(m)}
+	if r.tc.Sampled {
+		r.span = trace.NewID()
+	}
+	if !p.adm.acquire(pc.tenant) {
+		p.ctr.admRejects.Add(1)
+		pc.c.Send(server.Reply{Msg: &server.Message{Op: m.Op, Status: server.StatusOverloaded, ID: m.ID,
+			Payload: []byte("tenant in-flight limit exceeded")}, Done: r})
 		return
 	}
-	p.conns[c] = struct{}{}
-	p.readerWG.Add(1)
-	p.mu.Unlock()
-	p.ctr.connsAccepted.Add(1)
-	p.ctr.connsActive.Add(1)
-	go c.readLoop()
+	go r.forward(m)
 }
 
-// fail tears the connection down; the closed socket unblocks the reader
-// and poisons subsequent writes.
-func (c *pconn) fail() {
-	c.failOnce.Do(func() {
-		close(c.dead)
-		c.nc.Close()
-	})
+// preq is one proxied request: its trace context and hop span, and how
+// its forward went, for the books Finish closes.
+type preq struct {
+	pc     *pconn
+	op     server.Op
+	readAt time.Time
+	tc     trace.Context
+	span   uint64 // the proxy-route span id (sampled requests only)
+	fwd    fwdInfo
 }
 
-func (c *pconn) remove() {
-	c.p.mu.Lock()
-	delete(c.p.conns, c)
-	c.p.mu.Unlock()
-	c.p.ctr.connsActive.Add(-1)
+// forward routes the request to the fleet and sends the reply; Send
+// runs the connection's flusher here when none is running, since this
+// goroutine may wait on the client socket.
+func (r *preq) forward(m *server.Message) {
+	p := r.pc.p
+	resp, fwd := p.forward(m, r.pc.routeKey(m), r.tc, r.span)
+	r.fwd = fwd
+	p.adm.release(r.pc.tenant)
+	r.pc.c.Send(server.Reply{Msg: resp, Done: r})
 }
 
-// readLoop frames client requests and hands each to a handler goroutine
-// bounded by the connection window and the tenant's admission budget.
-func (c *pconn) readLoop() {
-	defer c.p.readerWG.Done()
-	defer c.remove()
-	defer c.fail()
-	br := bufio.NewReaderSize(c.nc, 64<<10)
-	for {
-		if !c.p.armRead(c) {
-			return // draining: stop intake; handlers finish and flush
-		}
-		m, err := server.ReadRequest(br, c.p.cfg.MaxPayload)
-		if err != nil {
-			if c.p.isDraining() {
-				return
-			}
-			var pe *server.ProtoError
-			if errors.As(err, &pe) {
-				c.p.ctr.protoErrors.Add(1)
-				c.write(&server.Message{Status: pe.Status, Payload: []byte(pe.Error())}, false)
-				return
-			}
-			if !errors.Is(err, io.EOF) {
-				c.p.logf("cluster: read from %v: %v", c.nc.RemoteAddr(), err)
-			}
-			return
-		}
-		readAt := time.Now()
-		c.p.ctr.requests.Add(1)
-		c.p.ctr.bytesIn.Add(int64(server.HeaderSize + len(m.Params) + len(m.Payload)))
-		tc := c.extractTrace(m)
-
-		// Window slot: a client pipelining beyond its window waits here.
-		select {
-		case c.sem <- struct{}{}:
-		case <-c.dead:
-			c.p.ctr.dropped.Add(1)
-			return
-		}
-		// Admission: over-budget tenants are answered immediately, not
-		// queued.
-		if !c.p.adm.acquire(c.tenant) {
-			c.p.ctr.admRejects.Add(1)
-			c.write(&server.Message{Op: m.Op, Status: server.StatusOverloaded, ID: m.ID,
-				Payload: []byte("tenant in-flight limit exceeded")}, true)
-			<-c.sem
-			c.p.finishRequest(c, tc, c.mintSpan(tc), m.Op, readAt, server.StatusOverloaded, fwdInfo{})
-			continue
-		}
-		c.p.handlerWG.Add(1)
-		go c.handle(m, tc, readAt)
-	}
+// Finish closes the request's books once its reply is written out or
+// dropped.
+func (r *preq) Finish(st server.Status, written bool) {
+	r.pc.p.finishRequest(r, st)
 }
 
 // extractTrace strips an incoming trace-context extension off m (the
@@ -493,7 +307,7 @@ func (c *pconn) readLoop() {
 // fresh span id), or self-samples one in every TraceEvery untraced
 // requests as a new root trace. A malformed extension downgrades the
 // request to untraced; it never rejects it.
-func (c *pconn) extractTrace(m *server.Message) trace.Context {
+func (p *Proxy) extractTrace(m *server.Message) trace.Context {
 	if m.Flags&server.FlagTraced != 0 {
 		m.Flags &^= server.FlagTraced
 		if tc, rest, ok := trace.Extract(m.Params); ok {
@@ -502,39 +316,20 @@ func (c *pconn) extractTrace(m *server.Message) trace.Context {
 		}
 		return trace.Context{}
 	}
-	if every := uint64(c.p.cfg.TraceEvery); every > 0 && c.p.traceTick.Add(1)%every == 0 {
+	if every := uint64(p.cfg.TraceEvery); every > 0 && p.traceTick.Add(1)%every == 0 {
 		return trace.Context{Trace: trace.NewID(), Sampled: true}
 	}
 	return trace.Context{}
 }
 
-// mintSpan returns a fresh span id for a sampled context, 0 otherwise.
-func (c *pconn) mintSpan(tc trace.Context) uint64 {
-	if !tc.Sampled {
-		return 0
-	}
-	return trace.NewID()
-}
-
-// handle forwards one request and writes its response.
-func (c *pconn) handle(m *server.Message, tc trace.Context, readAt time.Time) {
-	defer c.p.handlerWG.Done()
-	span := c.mintSpan(tc)
-	resp, fwd := c.p.forward(m, c.routeKey(m), tc, span)
-	c.p.adm.release(c.tenant)
-	c.write(resp, true)
-	<-c.sem
-	c.p.finishRequest(c, tc, span, m.Op, readAt, resp.Status, fwd)
-}
-
 // routeKey is the consistent-hash key for a request: the connection key
 // alone (default, keeping a client's stream on one backend), or mixed
 // with the request id to spread a single connection across the fleet.
-func (c *pconn) routeKey(m *server.Message) uint64 {
-	if !c.p.cfg.RouteByRequest {
-		return c.key
+func (pc *pconn) routeKey(m *server.Message) uint64 {
+	if !pc.p.cfg.RouteByRequest {
+		return pc.key
 	}
-	return mix64(c.key ^ (m.ID + 0x9e3779b97f4a7c15))
+	return mix64(pc.key ^ (m.ID + 0x9e3779b97f4a7c15))
 }
 
 // mix64 is the splitmix64 finalizer — full avalanche, so consecutive
@@ -591,11 +386,15 @@ func (p *Proxy) forward(m *server.Message, key uint64, tc trace.Context, routeSp
 	fwd := fwdInfo{}
 	var lastErr error
 	for _, bi := range order {
-		if fwd.attempts >= maxAttempts {
-			break
+		b := p.backends[bi]
+		if fwd.attempts >= maxAttempts || b.down.Load() {
+			break // out of attempts, or shut down: no new attempt
+		}
+		if fwd.attempts > 0 {
+			p.ctr.retries.Add(1)
+			fwd.retries++
 		}
 		fwd.attempts++
-		b := p.backends[bi]
 		b.forwards.Add(1)
 		// Re-inject the trace context per attempt: a copy of the message
 		// gets the extension appended (append copies the capacity-pinned
@@ -620,8 +419,6 @@ func (p *Proxy) forward(m *server.Message, key uint64, tc trace.Context, routeSp
 			if resp.Status.RetrySafe() && fwd.attempts < maxAttempts {
 				// Backend draining: it rejected the request unprocessed, so
 				// replaying elsewhere is safe for every op.
-				p.ctr.retries.Add(1)
-				fwd.retries++
 				continue
 			}
 			fwd.backend = b.spec.Addr
@@ -632,8 +429,6 @@ func (p *Proxy) forward(m *server.Message, key uint64, tc trace.Context, routeSp
 		p.ctr.backendFails.Add(1)
 		p.hc.noteFailure(b, err)
 		if m.Op.Idempotent() && fwd.attempts < maxAttempts {
-			p.ctr.retries.Add(1)
-			fwd.retries++
 			continue
 		}
 		break
@@ -678,54 +473,53 @@ func (p *Proxy) recordForwardSpan(tc trace.Context, attemptSpan, routeSpan uint6
 // finishRequest closes the observability books on one proxied request:
 // per-op latency (with a trace exemplar), SLO accounting, the
 // proxy-route span, and the wide event.
-func (p *Proxy) finishRequest(c *pconn, tc trace.Context, span uint64,
-	op server.Op, readAt time.Time, st server.Status, fwd fwdInfo) {
+func (p *Proxy) finishRequest(r *preq, st server.Status) {
 	now := time.Now()
-	lat := now.Sub(readAt)
-	if int(op) < len(p.opLat) {
-		p.opLat[op].Observe(lat)
-		if tc.Sampled {
-			p.opEx[op].Record(tc.Trace, int64(lat))
+	lat := now.Sub(r.readAt)
+	host := r.pc.c.Host()
+	if int(r.op) < len(p.opLat) {
+		p.opLat[r.op].Observe(lat)
+		if r.tc.Sampled {
+			p.opEx[r.op].Record(r.tc.Trace, int64(lat))
 		}
 	}
-	p.cfg.SLO.Observe(op.String(), c.host, lat)
-	if tc.Sampled {
+	p.cfg.SLO.Observe(r.op.String(), host, lat)
+	if r.tc.Sampled {
 		status := ""
 		if st != server.StatusOK {
 			status = st.String()
 		}
 		parent := ""
-		if tc.Span != 0 {
-			parent = trace.FormatID(tc.Span)
+		if r.tc.Span != 0 {
+			parent = trace.FormatID(r.tc.Span)
 		}
 		attrs := map[string]string{
-			"attempts": strconv.Itoa(fwd.attempts),
-			"retries":  strconv.Itoa(fwd.retries),
-			"tenant":   c.host,
+			"attempts": strconv.Itoa(r.fwd.attempts),
+			"retries":  strconv.Itoa(r.fwd.retries),
+			"tenant":   host,
 		}
-		if fwd.backend != "" {
-			attrs["backend"] = fwd.backend
+		if r.fwd.backend != "" {
+			attrs["backend"] = r.fwd.backend
 		}
 		p.spans.Add(trace.Span{
-			Trace: trace.FormatID(tc.Trace), ID: trace.FormatID(span), Parent: parent,
-			Service: "gfproxy", Name: "proxy-route", Op: op.String(),
-			StartUnixNs: readAt.UnixNano(), DurNs: lat.Nanoseconds(),
+			Trace: trace.FormatID(r.tc.Trace), ID: trace.FormatID(r.span), Parent: parent,
+			Service: "gfproxy", Name: "proxy-route", Op: r.op.String(),
+			StartUnixNs: r.readAt.UnixNano(), DurNs: lat.Nanoseconds(),
 			Status: status, Attrs: attrs,
 		})
 	}
-	p.wideEvent(c, tc, span, op, st, lat, fwd)
+	p.wideEvent(r, host, st, lat)
 }
 
 // wideEvent emits the one-line structured record of a completed
 // request: every trace-sampled request, plus one in every WideEvery
 // untraced completions.
-func (p *Proxy) wideEvent(c *pconn, tc trace.Context, span uint64,
-	op server.Op, st server.Status, lat time.Duration, fwd fwdInfo) {
+func (p *Proxy) wideEvent(r *preq, host string, st server.Status, lat time.Duration) {
 	lg := p.cfg.WideLog
 	if lg == nil {
 		return
 	}
-	if !tc.Sampled {
+	if !r.tc.Sampled {
 		every := uint64(p.cfg.WideEvery)
 		if every == 0 || p.wideTick.Add(1)%every != 0 {
 			return
@@ -733,20 +527,20 @@ func (p *Proxy) wideEvent(c *pconn, tc trace.Context, span uint64,
 	}
 	attrs := []slog.Attr{
 		slog.String("service", "gfproxy"),
-		slog.String("op", op.String()),
-		slog.String("tenant", c.host),
+		slog.String("op", r.op.String()),
+		slog.String("tenant", host),
 		slog.String("status", st.String()),
-		slog.Int("attempts", fwd.attempts),
-		slog.Int("retries", fwd.retries),
+		slog.Int("attempts", r.fwd.attempts),
+		slog.Int("retries", r.fwd.retries),
 		slog.Int64("latency_ns", int64(lat)),
 	}
-	if fwd.backend != "" {
-		attrs = append(attrs, slog.String("backend", fwd.backend))
+	if r.fwd.backend != "" {
+		attrs = append(attrs, slog.String("backend", r.fwd.backend))
 	}
-	if tc.Sampled {
+	if r.tc.Sampled {
 		attrs = append(attrs,
-			slog.String("trace", trace.FormatID(tc.Trace)),
-			slog.String("span", trace.FormatID(span)))
+			slog.String("trace", trace.FormatID(r.tc.Trace)),
+			slog.String("span", trace.FormatID(r.span)))
 	}
 	lg.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
 }
@@ -772,44 +566,4 @@ func (p *Proxy) callBackend(b *backend, m *server.Message) (*server.Message, err
 	// An error status is a processed outcome, not a transport failure:
 	// relay it.
 	return &server.Message{Op: rm.Op, Status: rm.Status, ID: m.ID, Payload: rm.Payload}, nil
-}
-
-// write serializes one response onto the client socket. ledgered
-// responses are accounted as exactly one of responses/rejects/dropped.
-// Concurrent writers share a flush: the last one through wmu flushes the
-// responses the others left in the buffer. An unledgered (conn-fatal)
-// reply always flushes, since the connection closes right after it.
-func (c *pconn) write(m *server.Message, ledgered bool) {
-	c.writers.Add(1)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	last := c.writers.Add(-1) == 0
-	if c.broken {
-		if ledgered {
-			c.p.ctr.dropped.Add(1)
-		}
-		return
-	}
-	c.wd.Arm(c.nc.SetWriteDeadline, c.p.cfg.WriteTimeout)
-	err := server.WriteResponse(c.bw, m)
-	if err == nil && (last || !ledgered) {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		c.broken = true
-		if ledgered {
-			c.p.ctr.dropped.Add(1)
-		}
-		c.p.logf("cluster: write to %v: %v", c.nc.RemoteAddr(), err)
-		c.fail()
-		return
-	}
-	if ledgered {
-		if m.Status == server.StatusOK {
-			c.p.ctr.responses.Add(1)
-		} else {
-			c.p.ctr.rejects.Add(1)
-		}
-	}
-	c.p.ctr.bytesOut.Add(int64(server.HeaderSize + len(m.Params) + len(m.Payload)))
 }

@@ -188,14 +188,14 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // checkLedger asserts the proxy's exact disjoint request ledger after
-// quiesce. pconn.write counts a reply only after writing it, so a
+// quiesce. The outbox counts a reply only after flushing it, so a
 // client can hold its last reply before the counters show it: the
 // ledger is polled until it balances, for at most 5 s.
 func checkLedger(t *testing.T, p *Proxy) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c := p.ctr.snapshot()
+		c := p.snapshot()
 		if c.Requests == c.Responses+c.Rejects+c.Dropped {
 			return
 		}

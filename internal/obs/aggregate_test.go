@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,13 +48,14 @@ func TestBucketIndex(t *testing.T) {
 func TestMergeMetrics(t *testing.T) {
 	build := func(reqs int64, conns float64, lat []time.Duration) []Metric {
 		reg := NewRegistry()
-		reg.Counter("requests_total", "Requests.").Add(reqs)
-		reg.Counter("per_op_total", "Per-op.", L("op", "enc")).Add(reqs * 2)
-		reg.Gauge("conns_active", "Conns.").Set(conns)
-		h := reg.Histogram("latency_seconds", "Latency.")
+		reg.CounterFunc("requests_total", "Requests.", func() int64 { return reqs })
+		reg.CounterFunc("per_op_total", "Per-op.", func() int64 { return reqs * 2 }, L("op", "enc"))
+		reg.GaugeFunc("conns_active", "Conns.", func() float64 { return conns })
+		h := new(perf.Hist)
 		for _, d := range lat {
-			h.Hist().Observe(d)
+			h.Observe(d)
 		}
+		reg.HistogramFunc("latency_seconds", "Latency.", h)
 		return reg.Gather()
 	}
 	a := build(10, 3, []time.Duration{time.Microsecond, time.Millisecond})
@@ -113,15 +115,15 @@ func TestMergeMetrics(t *testing.T) {
 // in a later set keeps the first kind and does not panic.
 func TestMergeMetricsKindConflict(t *testing.T) {
 	ra, rb := NewRegistry(), NewRegistry()
-	ra.Counter("x_total", "X.").Add(5)
-	rb.Gauge("x_total", "X.").Set(100)
+	ra.CounterFunc("x_total", "X.", func() int64 { return 5 })
+	rb.GaugeFunc("x_total", "X.", func() float64 { return 100 })
 	merged := MergeMetrics(ra.Gather(), rb.Gather())
 	if len(merged) != 1 || merged[0].Kind != KindCounter || merged[0].Samples[0].Value != 5 {
 		t.Fatalf("conflicting merge = %+v, want counter value 5", merged)
 	}
 }
 
-// TestAggregateConcurrentSnapshots drives live instrument traffic while
+// TestAggregateConcurrentSnapshots drives live producer traffic while
 // repeatedly gathering and merging the registries — the exact shape of
 // the /statsz fan-in, where backends keep serving while the proxy
 // scrapes. Meaningful under -race; the final merged totals must equal
@@ -129,13 +131,13 @@ func TestMergeMetricsKindConflict(t *testing.T) {
 func TestAggregateConcurrentSnapshots(t *testing.T) {
 	const workers, perWorker, gathers = 4, 2000, 25
 	regs := [2]*Registry{NewRegistry(), NewRegistry()}
-	ctrs := [2]*Counter{
-		regs[0].Counter("requests_total", "Requests."),
-		regs[1].Counter("requests_total", "Requests."),
-	}
-	hists := [2]*Histogram{
-		regs[0].Histogram("latency_seconds", "Latency."),
-		regs[1].Histogram("latency_seconds", "Latency."),
+	var (
+		ctrs  [2]atomic.Int64
+		hists [2]perf.Hist
+	)
+	for i, reg := range regs {
+		reg.CounterFunc("requests_total", "Requests.", ctrs[i].Load)
+		reg.HistogramFunc("latency_seconds", "Latency.", &hists[i])
 	}
 
 	var wg sync.WaitGroup
@@ -144,8 +146,8 @@ func TestAggregateConcurrentSnapshots(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ctrs[w%2].Inc()
-				hists[w%2].Hist().Observe(time.Duration(i) * time.Nanosecond)
+				ctrs[w%2].Add(1)
+				hists[w%2].Observe(time.Duration(i) * time.Nanosecond)
 			}
 		}(w)
 	}

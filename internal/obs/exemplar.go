@@ -61,7 +61,7 @@ func (r *Registry) HistogramFuncEx(name, help string, h *perf.Hist, ex *Exemplar
 	if h == nil {
 		panic("obs: HistogramFuncEx with nil perf.Hist for " + name)
 	}
-	s := r.getOrCreate(name, help, KindHistogram, labels, true)
+	s := r.register(name, help, KindHistogram, labels)
 	r.mu.Lock()
 	s.histRef = h
 	s.ex = ex

@@ -1,7 +1,8 @@
 // Package obs is the repo's unified observability core: a dependency-free
-// metrics registry (atomic counters and gauges, histograms reusing the
-// perf.Hist power-of-two buckets) with labeled families, stable iteration
-// order, Prometheus text-format v0.0.4 exposition and JSON dumps.
+// metrics registry of read-through instruments (counters, gauges, and
+// histograms over perf.Hist's power-of-two buckets), each backed by its
+// producer's own atomics, with labeled families, stable iteration order,
+// Prometheus text-format v0.0.4 exposition and JSON dumps.
 //
 // Every stats producer in the tree — pipeline stage stats, the perf cycle
 // model, the server ledger, the adaptive controller, the gf kernel tiers —
@@ -14,12 +15,9 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/perf"
 )
@@ -75,68 +73,17 @@ func (k *Kind) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n; negative deltas are ignored to keep the counter monotonic.
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic float64 gauge.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; safe for concurrent use).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a registry-owned latency histogram sharing perf.Hist's
-// power-of-two nanosecond buckets. Observe is safe for concurrent use.
-type Histogram struct{ h perf.Hist }
-
-// Observe records one nanosecond sample.
-func (h *Histogram) Observe(ns int64) { h.h.Observe(time.Duration(ns)) }
-
-// Hist exposes the underlying perf.Hist for Observe(time.Duration) callers.
-func (h *Histogram) Hist() *perf.Hist { return &h.h }
-
 // series is one label combination inside a family. Exactly one of the
-// value sources is set.
+// value sources is set, the one matching the family's kind.
 type series struct {
 	labels []Label // sorted by key
 	key    string  // canonical label encoding, family-unique
 
-	ctr     *Counter
-	gauge   *Gauge
-	hist    *Histogram
 	ctrFn   func() int64
 	gaugeFn func() float64
 	histRef *perf.Hist
 	ex      *Exemplar // optional exemplar slot (HistogramFuncEx)
 }
-
-func (s *series) isFunc() bool { return s.ctrFn != nil || s.gaugeFn != nil || s.histRef != nil }
 
 // family is all series sharing one metric name.
 type family struct {
@@ -147,8 +94,8 @@ type family struct {
 }
 
 // Registry holds metric families. All methods are safe for concurrent
-// use; instrument updates (Counter.Add etc.) are lock-free, and
-// registration or Gather take the registry lock.
+// use; registration and Gather take the registry lock, and the
+// instruments read through to their producers' own atomics.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -159,31 +106,12 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Counter returns the counter for name+labels, creating it on first use.
-// It panics if name is already registered with a different kind or help
-// string, or if the name/labels are malformed.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.getOrCreate(name, help, KindCounter, labels, false).ctr
-}
-
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.getOrCreate(name, help, KindGauge, labels, false).gauge
-}
-
-// Histogram returns the histogram for name+labels, creating it on first
-// use. By convention histogram names end in _seconds and samples are
-// nanoseconds; exposition converts to seconds.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.getOrCreate(name, help, KindHistogram, labels, false).hist
-}
-
 // CounterFunc registers a read-through counter backed by fn, for wiring
 // existing atomic producers in without double accounting. fn must be
 // safe for concurrent use and must not call back into the registry.
 // Registering the same name+labels twice panics.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
-	s := r.getOrCreate(name, help, KindCounter, labels, true)
+	s := r.register(name, help, KindCounter, labels)
 	r.mu.Lock()
 	s.ctrFn = fn
 	r.mu.Unlock()
@@ -191,7 +119,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Lab
 
 // GaugeFunc registers a read-through gauge backed by fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.getOrCreate(name, help, KindGauge, labels, true)
+	s := r.register(name, help, KindGauge, labels)
 	r.mu.Lock()
 	s.gaugeFn = fn
 	r.mu.Unlock()
@@ -203,13 +131,17 @@ func (r *Registry) HistogramFunc(name, help string, h *perf.Hist, labels ...Labe
 	if h == nil {
 		panic("obs: HistogramFunc with nil perf.Hist for " + name)
 	}
-	s := r.getOrCreate(name, help, KindHistogram, labels, true)
+	s := r.register(name, help, KindHistogram, labels)
 	r.mu.Lock()
 	s.histRef = h
 	r.mu.Unlock()
 }
 
-func (r *Registry) getOrCreate(name, help string, kind Kind, labels []Label, funcSeries bool) *series {
+// register adds the series name+labels, whose value source the caller
+// fills in. It panics if the series exists, if name is registered with
+// a different kind or help string, or if the name or labels are
+// malformed.
+func (r *Registry) register(name, help string, kind Kind, labels []Label) *series {
 	validateName(name)
 	ls := canonLabels(name, labels)
 	key := labelKey(ls)
@@ -228,28 +160,11 @@ func (r *Registry) getOrCreate(name, help string, kind Kind, labels []Label, fun
 			panic(fmt.Sprintf("obs: metric %q re-registered with different help text", name))
 		}
 	}
-	s := f.series[key]
-	if s == nil {
-		s = &series{labels: ls, key: key}
-		if !funcSeries {
-			// Allocate the instrument under the lock so concurrent
-			// get-or-create calls never race on the series fields; func
-			// series are filled in by the caller, which registers once.
-			switch kind {
-			case KindCounter:
-				s.ctr = &Counter{}
-			case KindGauge:
-				s.gauge = &Gauge{}
-			case KindHistogram:
-				s.hist = &Histogram{}
-			}
-		}
-		f.series[key] = s
-		return s
-	}
-	if funcSeries || s.isFunc() {
+	if f.series[key] != nil {
 		panic(fmt.Sprintf("obs: duplicate registration of %s{%s}", name, key))
 	}
+	s := &series{labels: ls, key: key}
+	f.series[key] = s
 	return s
 }
 
@@ -326,29 +241,13 @@ func (s *series) sample(kind Kind) Sample {
 	out := Sample{Labels: s.labels}
 	switch kind {
 	case KindCounter:
-		switch {
-		case s.ctrFn != nil:
-			out.Value = float64(s.ctrFn())
-		case s.ctr != nil:
-			out.Value = float64(s.ctr.Value())
-		}
+		out.Value = float64(s.ctrFn())
 	case KindGauge:
-		switch {
-		case s.gaugeFn != nil:
-			out.Value = s.gaugeFn()
-		case s.gauge != nil:
-			out.Value = s.gauge.Value()
-		}
+		out.Value = s.gaugeFn()
 	case KindHistogram:
-		h := s.histRef
-		if h == nil && s.hist != nil {
-			h = &s.hist.h
-		}
-		if h != nil {
-			out.Hist = histSample(h.Snapshot())
-			if s.ex != nil {
-				out.Hist.Exemplar = s.ex.sample()
-			}
+		out.Hist = histSample(s.histRef.Snapshot())
+		if s.ex != nil {
+			out.Hist.Exemplar = s.ex.sample()
 		}
 	}
 	return out
@@ -390,14 +289,7 @@ func (r *Registry) HistValue(name string, labels ...Label) (perf.HistSnapshot, b
 	if !ok || kind != KindHistogram {
 		return perf.HistSnapshot{}, false
 	}
-	h := s.histRef
-	if h == nil && s.hist != nil {
-		h = &s.hist.h
-	}
-	if h == nil {
-		return perf.HistSnapshot{}, false
-	}
-	return h.Snapshot(), true
+	return s.histRef.Snapshot(), true
 }
 
 func (r *Registry) lookup(name string, labels []Label) (*series, Kind, bool) {

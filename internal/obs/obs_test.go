@@ -3,51 +3,12 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/perf"
 )
-
-func TestCounterGaugeHistogramBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_ops_total", "ops", L("kind", "a"))
-	c.Inc()
-	c.Add(4)
-	c.Add(-7) // ignored: counters are monotonic
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("test_depth", "depth")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %g, want 1.5", got)
-	}
-	h := r.Histogram("test_latency_seconds", "latency")
-	h.Observe(100)
-	h.Hist().Observe(3 * time.Microsecond)
-	if got := h.Hist().Count(); got != 2 {
-		t.Errorf("histogram count = %d, want 2", got)
-	}
-}
-
-func TestGetOrCreateIdentity(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x_total", "x", L("k", "v"))
-	b := r.Counter("x_total", "x", L("k", "v"))
-	if a != b {
-		t.Error("same name+labels must return the same counter")
-	}
-	c := r.Counter("x_total", "x", L("k", "other"))
-	if a == c {
-		t.Error("different label values must return distinct counters")
-	}
-	// Label order must not matter.
-	d1 := r.Counter("y_total", "y", L("a", "1"), L("b", "2"))
-	d2 := r.Counter("y_total", "y", L("b", "2"), L("a", "1"))
-	if d1 != d2 {
-		t.Error("label order must not create a new series")
-	}
-}
 
 func TestRegistrationPanics(t *testing.T) {
 	cases := []struct {
@@ -55,25 +16,27 @@ func TestRegistrationPanics(t *testing.T) {
 		fn   func(r *Registry)
 	}{
 		{"kind mismatch", func(r *Registry) {
-			r.Counter("m_total", "m")
-			r.Gauge("m_total", "m")
+			r.CounterFunc("m_total", "m", zero, L("k", "1"))
+			r.GaugeFunc("m_total", "m", func() float64 { return 0 }, L("k", "2"))
 		}},
 		{"help mismatch", func(r *Registry) {
-			r.Counter("m_total", "m")
-			r.Counter("m_total", "other help")
+			r.CounterFunc("m_total", "m", zero, L("k", "1"))
+			r.CounterFunc("m_total", "other help", zero, L("k", "2"))
 		}},
-		{"bad name", func(r *Registry) { r.Counter("bad-name", "x") }},
-		{"leading digit", func(r *Registry) { r.Counter("1bad", "x") }},
-		{"empty name", func(r *Registry) { r.Counter("", "x") }},
-		{"bad label key", func(r *Registry) { r.Counter("m_total", "m", L("bad-key", "v")) }},
-		{"dup label key", func(r *Registry) { r.Counter("m_total", "m", L("k", "1"), L("k", "2")) }},
+		{"bad name", func(r *Registry) { r.CounterFunc("bad-name", "x", zero) }},
+		{"leading digit", func(r *Registry) { r.CounterFunc("1bad", "x", zero) }},
+		{"empty name", func(r *Registry) { r.CounterFunc("", "x", zero) }},
+		{"bad label key", func(r *Registry) { r.CounterFunc("m_total", "m", zero, L("bad-key", "v")) }},
+		{"dup label key", func(r *Registry) { r.CounterFunc("m_total", "m", zero, L("k", "1"), L("k", "2")) }},
 		{"dup func series", func(r *Registry) {
 			r.CounterFunc("f_total", "f", func() int64 { return 0 })
 			r.CounterFunc("f_total", "f", func() int64 { return 1 })
 		}},
 		{"func over instrument", func(r *Registry) {
-			r.Counter("g_total", "g")
-			r.CounterFunc("g_total", "g", func() int64 { return 0 })
+			// A plain histogram over one carrying an exemplar slot would
+			// silently drop the slot.
+			r.HistogramFuncEx("g_seconds", "g", new(perf.Hist), new(Exemplar), L("op", "a"))
+			r.HistogramFunc("g_seconds", "g", new(perf.Hist), L("op", "a"))
 		}},
 	}
 	for _, tc := range cases {
@@ -90,9 +53,9 @@ func TestRegistrationPanics(t *testing.T) {
 
 func TestGatherStableOrder(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_total", "z")
-	r.Counter("aa_total", "a", L("stage", "rs-decode"))
-	r.Counter("aa_total", "a", L("stage", "corrupt"))
+	r.CounterFunc("zz_total", "z", zero)
+	r.CounterFunc("aa_total", "a", zero, L("stage", "rs-decode"))
+	r.CounterFunc("aa_total", "a", zero, L("stage", "corrupt"))
 	r.GaugeFunc("mm_depth", "m", func() float64 { return 7 })
 
 	first := r.Gather()
@@ -131,9 +94,10 @@ func TestReadThroughCollectors(t *testing.T) {
 
 func TestValueLookup(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "c", L("k", "v")).Add(3)
-	h := r.Histogram("h_seconds", "h")
+	r.CounterFunc("c_total", "c", func() int64 { return 3 }, L("k", "v"))
+	var h perf.Hist
 	h.Observe(1000)
+	r.HistogramFunc("h_seconds", "h", &h)
 
 	if v, ok := r.Value("c_total", L("k", "v")); !ok || v != 3 {
 		t.Errorf("Value = %g,%v, want 3,true", v, ok)
@@ -155,36 +119,41 @@ func TestValueLookup(t *testing.T) {
 	}
 }
 
-// TestScrapeUnderLoad hammers instruments from many goroutines while
-// another goroutine gathers and writes exposition — the satellite's
-// scrape-under-load race test; meaningful under -race.
+// TestScrapeUnderLoad hammers the producers behind the instruments from
+// many goroutines while another goroutine gathers and writes exposition
+// — the scrape-under-load race test; meaningful under -race.
 func TestScrapeUnderLoad(t *testing.T) {
 	r := NewRegistry()
-	var fnBacking int64
-	r.CounterFunc("load_fn_total", "fn", func() int64 { return fnBacking })
-
 	const workers = 4
+	var (
+		ops, depth [workers]atomic.Int64
+		lat        perf.Hist
+	)
+	for w := 0; w < workers; w++ {
+		worker := L("worker", string(rune('a'+w)))
+		r.CounterFunc("load_ops_total", "ops", ops[w].Load, worker)
+		r.GaugeFunc("load_depth", "depth", func() float64 { return float64(depth[w].Load()) }, worker)
+	}
+	r.HistogramFunc("load_latency_seconds", "lat", &lat)
+
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// Seed each worker's series before the scrape loop starts so the
-		// post-quiesce check doesn't depend on goroutine scheduling.
-		r.Counter("load_ops_total", "ops", L("worker", string(rune('a'+w)))).Inc()
+		// Count once before the scrape loop starts so the post-quiesce
+		// check doesn't depend on goroutine scheduling.
+		ops[w].Add(1)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := r.Counter("load_ops_total", "ops", L("worker", string(rune('a'+w))))
-			g := r.Gauge("load_depth", "depth", L("worker", string(rune('a'+w))))
-			h := r.Histogram("load_latency_seconds", "lat")
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				c.Inc()
-				g.Set(float64(i))
-				h.Observe(int64(i % 4096))
+				ops[w].Add(1)
+				depth[w].Store(int64(i))
+				lat.Observe(time.Duration(i % 4096))
 			}
 		}(w)
 	}
@@ -217,3 +186,6 @@ func TestScrapeUnderLoad(t *testing.T) {
 		t.Errorf("gathered %d load_ops_total series, want %d", series, workers)
 	}
 }
+
+// zero is a counter producer that never counts.
+func zero() int64 { return 0 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/perf"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -16,20 +18,21 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // label-sorted series, cumulative histogram buckets.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	r.Counter("gfp_frames_total", "Frames processed.\nSecond line with back\\slash.",
-		L("stage", "rs-encode")).Add(12)
-	r.Counter("gfp_frames_total", "Frames processed.\nSecond line with back\\slash.",
-		L("stage", "corrupt")).Add(7)
-	r.Counter("gfp_escapes_total", `Label escaping probe.`,
-		L("path", `C:\tmp`), L("quote", `say "hi"`), L("nl", "a\nb")).Inc()
-	r.Gauge("gfp_rung", "Adaptive ladder rung.").Set(3)
+	r.CounterFunc("gfp_frames_total", "Frames processed.\nSecond line with back\\slash.",
+		func() int64 { return 12 }, L("stage", "rs-encode"))
+	r.CounterFunc("gfp_frames_total", "Frames processed.\nSecond line with back\\slash.",
+		func() int64 { return 7 }, L("stage", "corrupt"))
+	r.CounterFunc("gfp_escapes_total", `Label escaping probe.`, func() int64 { return 1 },
+		L("path", `C:\tmp`), L("quote", `say "hi"`), L("nl", "a\nb"))
+	r.GaugeFunc("gfp_rung", "Adaptive ladder rung.", func() float64 { return 3 })
 	r.GaugeFunc("gfp_code_rate", "Active code rate.", func() float64 { return 223.0 / 255.0 })
 
-	h := r.Histogram("gfp_latency_seconds", "Frame latency.")
+	h := new(perf.Hist)
 	h.Observe(100)   // bucket [64,128) -> le=1.28e-07
 	h.Observe(100)   // same bucket
 	h.Observe(5000)  // bucket [4096,8192) -> le=8.192e-06
 	h.Observe(70000) // bucket [65536,131072) -> le=0.000131072
+	r.HistogramFunc("gfp_latency_seconds", "Frame latency.", h)
 	return r
 }
 

@@ -27,7 +27,6 @@ func rsBatchPipeline(t *testing.T, cfg Config, batch int) *Pipeline {
 		}
 		return nil
 	}}
-	cfg.Batch = batch
 	return Must(cfg, enc, flip, dec)
 }
 

@@ -137,16 +137,11 @@ type Config struct {
 	// Queue is the depth of each stage's input ring (and of the output
 	// channel), in frames. 0 means 2*Workers. Smaller values tighten
 	// backpressure; larger values smooth out latency jitter between
-	// stages. Note the unit is frames: with batching each slot holds
-	// Batch codewords, so byte-level buffering scales with the batch.
+	// stages. Note the unit is frames: a submitter that packs several
+	// codewords into each frame's payload (the codec stages infer each
+	// frame's width from its length) scales byte-level buffering with
+	// its batch.
 	Queue int
-	// Batch is the number of codewords batch-aware submitters (the cmd
-	// drivers, the server) pack into each frame's payload. The codec
-	// stages infer every frame's width from its payload length — a
-	// multiple of the codeword size — so the engine itself accepts mixed
-	// widths; Batch is carried here so all layers size payloads and
-	// queues consistently. 0 means 1 (unbatched).
-	Batch int
 }
 
 func (c Config) withDefaults() Config {
@@ -155,9 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Queue <= 0 {
 		c.Queue = 2 * c.Workers
-	}
-	if c.Batch <= 0 {
-		c.Batch = 1
 	}
 	return c
 }
@@ -185,9 +177,6 @@ func New(cfg Config, stages ...Stage) (*Pipeline, error) {
 	}
 	if cfg.Queue < 0 {
 		return nil, fmt.Errorf("pipeline: negative queue depth %d", cfg.Queue)
-	}
-	if cfg.Batch < 0 {
-		return nil, fmt.Errorf("pipeline: negative batch %d", cfg.Batch)
 	}
 	if len(stages) == 0 {
 		return nil, errors.New("pipeline: no stages")

@@ -18,26 +18,26 @@ import (
 // with reg. Call once per server per registry.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("gfp_server_connections_accepted_total",
-		"Client connections accepted.", s.ctr.connsAccepted.Load)
+		"Client connections accepted.", s.ctr.ConnsAccepted.Load)
 	reg.GaugeFunc("gfp_server_connections_active",
 		"Client connections currently open.",
-		func() float64 { return float64(s.ctr.connsActive.Load()) })
+		func() float64 { return float64(s.ctr.ConnsActive.Load()) })
 	reg.CounterFunc("gfp_server_requests_total",
-		"Requests framed off client connections.", s.ctr.requests.Load)
+		"Requests framed off client connections.", s.ctr.Requests.Load)
 	reg.CounterFunc("gfp_server_responses_total",
-		"OK responses written to clients.", s.ctr.responses.Load)
+		"OK responses written to clients.", s.ctr.Responses.Load)
 	reg.CounterFunc("gfp_server_rejects_total",
-		"Error-status responses written to clients.", s.ctr.rejects.Load)
+		"Error-status responses written to clients.", s.ctr.Rejects.Load)
 	reg.CounterFunc("gfp_server_dropped_total",
 		"Requests whose response was never written (connection died).",
-		s.ctr.dropped.Load)
+		s.ctr.Dropped.Load)
 	reg.CounterFunc("gfp_server_protocol_errors_total",
 		"Framing violations that poisoned a connection (outside the request ledger).",
-		s.ctr.protoErrors.Load)
+		s.ctr.ProtoErrors.Load)
 	reg.CounterFunc("gfp_server_bytes_in_total",
-		"Request bytes read off the wire (headers included).", s.ctr.bytesIn.Load)
+		"Request bytes read off the wire (headers included).", s.ctr.BytesIn.Load)
 	reg.CounterFunc("gfp_server_bytes_out_total",
-		"Response bytes written to the wire (headers included).", s.ctr.bytesOut.Load)
+		"Response bytes written to the wire (headers included).", s.ctr.BytesOut.Load)
 	reg.GaugeFunc("gfp_server_info",
 		"Constant 1; labels carry the codec configuration.",
 		func() float64 { return 1 },
@@ -86,15 +86,10 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 // ejects it instead of spreading wrong math. /healthz maps nil to 200
 // and an error to 503.
 func (s *Server) Healthy() error {
-	s.mu.Lock()
-	serving, draining := s.serving, s.draining
-	s.mu.Unlock()
-	switch {
-	case draining:
-		return errors.New("draining")
-	case !serving:
-		return errors.New("not serving")
-	case s.run.Closed():
+	if err := s.Accepting(); err != nil {
+		return err
+	}
+	if s.run.Closed() {
 		return errors.New("pipeline closed")
 	}
 	if st := s.startupSelfTest(); !st.OK {

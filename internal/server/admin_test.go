@@ -132,7 +132,7 @@ func TestAdminEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The writer goroutine counts a reply only after flushing it, so the
+	// The outbox counts a reply only after flushing it, so the
 	// client can hold its 8th reply before the ledger shows it: wait, for
 	// at most 5 s, until the counters asserted below have settled.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {

@@ -18,10 +18,11 @@ import (
 
 // FuzzServeConn feeds arbitrary bytes over net.Pipe into one live
 // Server, reused across inputs. Whatever the bytes, the server must not
-// panic; once the pipe has closed and the connection's goroutines and
-// in-flight frames are gone, every request it framed must have reached
-// exactly one terminal (requests == responses + rejects + dropped, over
-// this input), and the goroutine count must be back where it started.
+// panic; once the pipe has closed and the server has quiesced (the read
+// loop gone, every reply written out or dropped), every request it
+// framed must have reached exactly one terminal (requests == responses
+// + rejects + dropped, over this input), and the goroutine count must be
+// back where it started.
 func FuzzServeConn(f *testing.F) {
 	s, err := New(Config{Workers: 2, Window: 4})
 	if err != nil {
@@ -37,10 +38,10 @@ func FuzzServeConn(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		base := runtime.NumGoroutine()
-		before := s.ctr.snapshot()
+		before := s.ctr.Snapshot()
 
 		cli, srv := net.Pipe()
-		s.startConn(srv)
+		s.ServeConn(srv)
 		drained := make(chan struct{})
 		go func() {
 			io.Copy(io.Discard, cli) // replies; ends when the pipe closes
@@ -49,11 +50,9 @@ func FuzzServeConn(f *testing.F) {
 		cli.Write(in) // fails early if the server hangs up on a framing error
 		cli.Close()
 		<-drained
-		s.readerWG.Wait()
-		s.writerWG.Wait()
-		s.inflight.Wait()
+		s.Quiesce()
 
-		after := s.ctr.snapshot()
+		after := s.ctr.Snapshot()
 		requests := after.Requests - before.Requests
 		terminal := after.Responses - before.Responses +
 			after.Rejects - before.Rejects +

@@ -1,16 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,10 +56,10 @@ type Config struct {
 	Window int
 	// ReadTimeout is the per-connection idle limit between requests
 	// (0 = no limit). WriteTimeout bounds each response write (0 = no
-	// limit). Deadlines are re-armed lazily (see Deadline): a connection
-	// idle for less than 7/8·ReadTimeout is never cut and one idle for
-	// ReadTimeout always is; likewise a write blocked for less than
-	// 7/8·WriteTimeout is never cut and one blocked for WriteTimeout is.
+	// limit). Deadlines are re-armed lazily: a connection idle for less
+	// than 7/8·ReadTimeout is never cut and one idle for ReadTimeout
+	// always is; likewise a write blocked for less than 7/8·WriteTimeout
+	// is never cut and one blocked for WriteTimeout is.
 	ReadTimeout, WriteTimeout time.Duration
 	// TraceEvery and TraceSlowest are read by nothing: the pipeline
 	// measures every frame's queue wait and keeps no sampled frame
@@ -114,25 +109,16 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the network-facing codec service. Construct with New, run
-// with Serve (or ListenAndServe), stop with Shutdown.
+// with Serve (or ListenAndServe), stop with Shutdown. Its connections
+// run on the embedded Front.
 type Server struct {
+	*Front
 	cfg Config
 	iv  *rs.Interleaved
 	pl  *pipeline.Pipeline
 	run *pipeline.Run
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*conn]struct{}
-	draining bool
-	serving  bool
-
-	readerWG sync.WaitGroup // connection read loops
-	writerWG sync.WaitGroup // connection write loops
-	inflight sync.WaitGroup // frames submitted but not yet routed
-
 	st  selftest
-	ctr counters
 	ecc *eccService // nil when Config.Curve is CurveOff
 	// ghash names the GHASH multiply the GCM instance runs, and aes
 	// its block encrypt.
@@ -148,26 +134,29 @@ type Server struct {
 // protocol constants (1..9), indexed directly.
 const opLatSlots = 10
 
-// pendingReq rides pipeline.Frame.Tag from submission to delivery: the
-// connection and request id a completed frame's response belongs to,
-// plus the request's trace context and hop timestamps, closed out by
-// finishRequest when the response hits (or misses) the wire.
+// pendingReq rides pipeline.Frame.Tag from submission to delivery and
+// then the reply through its connection's outbox: the request's
+// connection, op and id, its trace context and hop timestamps, and the
+// frame backing the reply, closed out by Finish when the reply is
+// written out or dropped.
 type pendingReq struct {
-	c  *conn
+	s  *Server
+	c  *Conn
 	op Op
 	id uint64
+	f  *pipeline.Frame // backs the reply's payload; freed by Finish
 
 	tc   trace.Context // zero when the request carried no trace context
 	span uint64        // this hop's request-span id (sampled requests only)
 
 	read      time.Time // request framed off the socket
 	submitted time.Time // frame entered the shared pipeline
-	// started and routed bound a sampled request's stage span: a worker
-	// began the op, and the reply was routed to the connection's write
-	// queue as the stage returned. Unsampled requests leave them zero.
-	// The worker writes them; the write-queue handoff orders its writes
-	// before the write loop reads them.
-	started, routed time.Time
+	// started and queued bound a sampled request's stage span: a worker
+	// began the op, and the reply was queued on the connection's outbox
+	// as the stage returned. Unsampled requests leave them zero. The
+	// worker writes them; the outbox's lock orders its writes before
+	// the flusher reads them.
+	started, queued time.Time
 }
 
 // New builds the server: codec instances, the shared pipeline (one
@@ -211,7 +200,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	disp := &dispatchStage{enc: enc, dec: dec, gcm: cipher.NewGCM(), aad: cfg.AAD, ecc: eccSvc}
-	pl, err := pipeline.New(pipeline.Config{Workers: cfg.Workers, Queue: cfg.Queue, Batch: cfg.Batch}, disp)
+	pl, err := pipeline.New(pipeline.Config{Workers: cfg.Workers, Queue: cfg.Queue}, disp)
 	if err != nil {
 		return nil, err
 	}
@@ -219,401 +208,63 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		iv:    iv,
 		pl:    pl,
-		conns: make(map[*conn]struct{}),
 		ecc:   eccSvc,
 		ghash: disp.gcm.GHASHStrategy(),
 		aes:   cipher.BlockStrategy(),
 		spans: trace.NewRing(cfg.TraceRing),
 	}
 	s.run = pl.StartFunc(s.deliver)
+	s.Front = NewFront("server", cfg, s.open, s.run.Close)
 	return s, nil
 }
 
 // Code returns the server's interleaved RS configuration.
 func (s *Server) Code() *rs.Interleaved { return s.iv }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+// Shutdown gracefully stops the server: it stops accepting, lets every
+// connection finish reading its current request, answers every request
+// already read, then closes the connections and the pipeline and
+// returns once its workers have exited. If ctx expires first, the
+// connections are cut, the pipeline is closed and ctx.Err() is returned
+// at once.
+func (s *Server) Shutdown(ctx context.Context) error {
+	if err := s.Front.Shutdown(ctx); err != nil {
 		return err
 	}
-	return s.Serve(ln)
+	s.run.Wait()
+	return nil
 }
 
-// Serve accepts connections on ln until Shutdown (which closes ln) or a
-// listener failure. It returns nil after a clean Shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		// Shutdown won the race to start: nothing to serve, cleanly.
-		s.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	if s.serving {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("server: Serve called twice")
-	}
-	s.serving = true
-	s.ln = ln
-	s.mu.Unlock()
-
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		s.startConn(nc)
-	}
-}
-
-// Addr returns the listener address once Serve has been called
-// (nil before).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// startConn registers and launches one connection's read and write
-// loops, unless the server is already draining.
-func (s *Server) startConn(nc net.Conn) {
-	tenant := nc.RemoteAddr().String()
-	if host, _, err := net.SplitHostPort(tenant); err == nil {
-		tenant = host
-	}
-	c := &conn{
-		s:      s,
-		nc:     nc,
-		tenant: tenant,
-		bw:     bufio.NewWriterSize(nc, 64<<10),
-		writeq: make(chan outMsg, s.cfg.Window+1), // +1: one conn-fatal error reply past the window
-		sem:    make(chan struct{}, s.cfg.Window),
-		dead:   make(chan struct{}),
-		lame:   make(chan struct{}),
-		drain:  make(chan struct{}),
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		nc.Close()
-		return
-	}
-	s.conns[c] = struct{}{}
-	s.readerWG.Add(1)
-	s.writerWG.Add(1)
-	s.mu.Unlock()
-	s.ctr.connsAccepted.Add(1)
-	s.ctr.connsActive.Add(1)
-	go c.readLoop()
-	go c.writeLoop()
-}
-
-func (s *Server) removeConn(c *conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	s.ctr.connsActive.Add(-1)
-}
-
-// deliver routes one completed frame's response to its connection's
-// write queue. It runs on the pipeline worker that computed the frame,
-// as soon as the stage returns, so a reply waits for no other request.
-// The per-connection window guarantees the queue has room, so deliver
-// never blocks on a slow client — it drops the response only when the
-// connection has already died.
+// deliver queues one completed frame's reply on its connection's
+// outbox. It runs on the pipeline worker that computed the frame, as
+// soon as the stage returns, so a reply waits for no other request, and
+// a worker never waits on a socket: Post starts a flusher goroutine
+// when none is running.
 func (s *Server) deliver(f *pipeline.Frame) {
 	pr := f.Tag.(*pendingReq)
 	if pr.tc.Sampled {
-		pr.routed = time.Now()
+		pr.queued = time.Now()
 	}
-	var om outMsg
+	m := &Message{Op: pr.op, ID: pr.id}
 	if f.Err != nil {
-		payload := []byte(f.Err.Error())
+		m.Status, m.Payload = StatusCodecFailed, []byte(f.Err.Error())
 		f.Free()
-		om = outMsg{m: &Message{Op: pr.op, Status: StatusCodecFailed, ID: pr.id, Payload: payload}, pr: pr}
 	} else {
-		// The response references the frame's (pool-backed) payload;
-		// the writer frees the frame after the bytes hit the socket.
-		om = outMsg{m: &Message{Op: pr.op, ID: pr.id, Payload: f.Data}, f: f, pr: pr}
+		// The reply references the frame's (pool-backed) payload, freed
+		// once the reply is written out or dropped.
+		m.Payload, pr.f = f.Data, f
 	}
-	switch pr.c.route(om) {
-	case routeOK:
-	case routeClosed:
-		om.free()
-		s.ctr.dropped.Add(1)
-	case routeFull:
-		// Window invariant broken — should be impossible. Kill the
-		// connection rather than stall every other client.
-		om.free()
-		s.ctr.dropped.Add(1)
-		s.logf("server: write queue overflow on %v (window invariant)", pr.c.nc.RemoteAddr())
-		pr.c.fail()
-	}
-	s.inflight.Done()
+	pr.c.Post(Reply{Msg: m, Done: pr})
 }
 
-// Shutdown gracefully stops the server: it stops accepting, lets every
-// connection finish reading its current request, drains all in-flight
-// frames through the pipeline, flushes every pending response, then
-// closes the connections and returns. If ctx expires first, remaining
-// connections are closed immediately and ctx.Err() is returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	// Kick blocked readers out of their socket reads; they observe
-	// draining and stop instead of treating it as an idle timeout.
-	for c := range s.conns {
-		c.nc.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	if already {
-		return errors.New("server: Shutdown called twice")
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.readerWG.Wait()   // no more submissions
-		s.inflight.Wait()   // every submitted frame routed to a write queue
-		s.run.Close()       // idempotent; lets the pipeline workers exit
-		s.run.Wait()        //
-		s.closeConnsDrain() // writers flush their queues and close
-		s.writerWG.Wait()
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.fail()
-		}
-		s.mu.Unlock()
-		s.run.Close()
-		return ctx.Err()
-	}
+// open returns the handler for one connection's requests.
+func (s *Server) open(c *Conn) Handler {
+	return func(m *Message, readAt time.Time) { s.handle(c, m, readAt) }
 }
 
-func (s *Server) closeConnsDrain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := range s.conns {
-		close(c.drain)
-	}
-}
-
-// isDraining reports the shutdown flag.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// armRead re-arms the connection's idle read deadline for the next
-// request when due, unless the server is draining (in which case the
-// deadline kick from Shutdown must stay in force). Returns false when
-// draining.
-func (s *Server) armRead(c *conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	c.rd.Arm(c.nc.SetReadDeadline, s.cfg.ReadTimeout)
-	return true
-}
-
-// Deadline re-arms one deadline of a connection lazily: only once the
-// armed deadline is more than an eighth of its limit old, which spares
-// the runtime poller a timer update on nearly every request. An Arm at
-// time t leaves the deadline between t+7/8·limit and t+limit. The zero
-// value is ready to use; it is not safe for concurrent use.
-type Deadline struct{ armed time.Time }
-
-// Arm pushes the deadline out to limit from now through set (a
-// net.Conn's SetReadDeadline or SetWriteDeadline) when the armed one is
-// more than limit/8 old. It does nothing for limit 0 (no deadline).
-func (d *Deadline) Arm(set func(time.Time) error, limit time.Duration) {
-	if limit <= 0 {
-		return
-	}
-	if now := time.Now(); now.Sub(d.armed) > limit/8 {
-		set(now.Add(limit))
-		d.armed = now
-	}
-}
-
-// outMsg is one queued response. f, when non-nil, is the pipeline frame
-// whose pooled payload backs m.Payload; the writer frees it once the
-// message is on the wire. pr, when non-nil, is the pipeline-served
-// request this response answers; the write loop closes its
-// observability books (latency, SLO, spans, wide event) at the
-// terminal. unled marks replies outside the request ledger
-// (protocol-error reports, which never had a request counted), so the
-// terminal accounting in write/drop paths skips them.
-type outMsg struct {
-	m     *Message
-	f     *pipeline.Frame
-	pr    *pendingReq
-	unled bool
-}
-
-// free returns the backing frame, if any, to the pipeline's pools.
-func (om outMsg) free() {
-	if om.f != nil {
-		om.f.Free()
-	}
-}
-
-// conn is one client connection: a read loop that frames requests and
-// submits them, and a write loop that serializes responses.
-type conn struct {
-	s      *Server
-	nc     net.Conn
-	tenant string // remote host, the SLO/wide-event tenant key
-	bw     *bufio.Writer
-	writeq chan outMsg
-	sem    chan struct{} // window slots; held from read to response-written
-	dead   chan struct{} // closed on error teardown
-	lame   chan struct{} // closed on poisoned-stream teardown (flush first)
-	drain  chan struct{} // closed by Shutdown once in-flight is drained
-
-	failOnce sync.Once
-	lameOnce sync.Once
-	broken   bool     // write side failed; set only by the write loop
-	rd       Deadline // read deadline; armed only by the read loop
-	wd       Deadline // write deadline; armed only by the write loop
-
-	// wqMu/wqClosed serialize reply routing against write-loop
-	// teardown: once the writer abandons the queue it flips wqClosed, so
-	// a response can never be enqueued after the final drain and leak
-	// unaccounted.
-	wqMu     sync.Mutex
-	wqClosed bool
-}
-
-// routeResult is route's outcome.
-type routeResult int
-
-const (
-	routeOK     routeResult = iota
-	routeClosed             // connection torn down; response not queued
-	routeFull               // queue full — the window invariant is broken
-)
-
-// route enqueues a response, never blocking.
-func (c *conn) route(om outMsg) routeResult {
-	c.wqMu.Lock()
-	defer c.wqMu.Unlock()
-	if c.wqClosed {
-		return routeClosed
-	}
-	select {
-	case c.writeq <- om:
-		return routeOK
-	default:
-		return routeFull
-	}
-}
-
-// closeWriteq bars further routing; after it returns the write loop
-// owns every remaining queued response.
-func (c *conn) closeWriteq() {
-	c.wqMu.Lock()
-	c.wqClosed = true
-	c.wqMu.Unlock()
-}
-
-// fail tears the connection down: the write loop exits (dropping queued
-// responses), its deferred close unblocks the read loop, and deliver
-// drops any still-in-flight responses for this connection.
-func (c *conn) fail() {
-	c.failOnce.Do(func() { close(c.dead) })
-}
-
-// failFlush tears the connection down like fail, but has the write loop
-// flush everything already queued first. Used when the reader poisons
-// the stream (framing violation): the socket can still carry the error
-// reply, and dropping it would race the client out of its diagnostic.
-func (c *conn) failFlush() {
-	c.lameOnce.Do(func() { close(c.lame) })
-}
-
-// readLoop frames requests off the socket and hands them to handle
-// until the client disconnects, a framing violation poisons the stream,
-// the idle deadline expires, or the server drains.
-func (c *conn) readLoop() {
-	defer c.s.readerWG.Done()
-	br := bufio.NewReaderSize(c.nc, 64<<10)
-	for {
-		if !c.s.armRead(c) {
-			return // draining: stop intake, leave teardown to Shutdown
-		}
-		m, err := readMessage(br, c.s.cfg.MaxPayload)
-		if err != nil {
-			if c.s.isDraining() {
-				return
-			}
-			var pe *ProtoError
-			if errors.As(err, &pe) {
-				// Report the violation, then drop the connection: the
-				// stream cannot be resynchronized. No request was ever
-				// counted for the garbage bytes, so the error reply is
-				// unledgered — protoErrors tracks these separately.
-				c.s.ctr.protoErrors.Add(1)
-				c.send(outMsg{m: &Message{Status: pe.Status, Payload: []byte(pe.Error())}, unled: true})
-				c.failFlush()
-				return
-			}
-			if !errors.Is(err, io.EOF) {
-				c.s.logf("server: read from %v: %v", c.nc.RemoteAddr(), err)
-			}
-			c.fail()
-			return
-		}
-		readAt := time.Now()
-		c.s.ctr.requests.Add(1)
-		c.s.ctr.bytesIn.Add(int64(headerSize + len(m.Params) + len(m.Payload)))
-		if !c.handle(m, readAt) {
-			return
-		}
-	}
-}
-
-// handle processes one framed request; it returns false when the
-// connection should stop reading.
-func (c *conn) handle(m *Message, readAt time.Time) bool {
-	// Acquire a window slot (released by the write loop once the
-	// response is written). Blocking here is the per-connection
-	// backpressure: a client pipelining beyond its window waits.
-	select {
-	case c.sem <- struct{}{}:
-	case <-c.dead:
-		c.s.ctr.dropped.Add(1) // framed but the connection died first
-		return false
-	}
+// handle validates one framed request and submits it to the pipeline,
+// or answers it from the read loop (stats, rejections).
+func (s *Server) handle(c *Conn, m *Message, readAt time.Time) {
 	// A traced request ends its params with a trace-context extension;
 	// strip it before op-param validation so op handlers see exactly
 	// what a pre-trace client would have sent. A malformed extension
@@ -625,52 +276,61 @@ func (c *conn) handle(m *Message, readAt time.Time) bool {
 			m.Params = rest
 		}
 	}
-	reject := func(st Status, format string, args ...any) bool {
-		return c.send(outMsg{m: &Message{Op: m.Op, Status: st, ID: m.ID,
-			Payload: []byte(fmt.Sprintf(format, args...))}})
+	reply := func(st Status, payload []byte) {
+		c.Send(Reply{Msg: &Message{Op: m.Op, Status: st, ID: m.ID, Payload: payload}})
 	}
-	iv := c.s.iv
+	reject := func(st Status, format string, args ...any) {
+		reply(st, []byte(fmt.Sprintf(format, args...)))
+	}
+	iv := s.iv
 	switch m.Op {
 	case OpStats:
-		payload, err := json.Marshal(c.s.Snapshot())
+		payload, err := json.Marshal(s.Snapshot())
 		if err != nil {
-			return reject(StatusInternal, "stats: %v", err)
+			reject(StatusInternal, "stats: %v", err)
+			return
 		}
-		return c.send(outMsg{m: &Message{Op: m.Op, ID: m.ID, Payload: payload}})
+		reply(StatusOK, payload)
 	case OpRSEncode:
-		if why := c.badRSLen(len(m.Payload), iv.FrameK()); why != "" {
-			return reject(StatusBadRequest, "rs-encode payload %dB, want %s of k×depth = %dB",
+		if why := s.badRSLen(len(m.Payload), iv.FrameK()); why != "" {
+			reject(StatusBadRequest, "rs-encode payload %dB, want %s of k×depth = %dB",
 				len(m.Payload), why, iv.FrameK())
+			return
 		}
-		return c.submit(m, m.Payload, tc, readAt)
+		s.submit(c, m, m.Payload, tc, readAt)
 	case OpRSDecode:
-		if why := c.badRSLen(len(m.Payload), iv.FrameN()); why != "" {
-			return reject(StatusBadRequest, "rs-decode payload %dB, want %s of n×depth = %dB",
+		if why := s.badRSLen(len(m.Payload), iv.FrameN()); why != "" {
+			reject(StatusBadRequest, "rs-decode payload %dB, want %s of n×depth = %dB",
 				len(m.Payload), why, iv.FrameN())
+			return
 		}
-		return c.submit(m, m.Payload, tc, readAt)
+		s.submit(c, m, m.Payload, tc, readAt)
 	case OpSeal, OpOpen:
 		if len(m.Params) != NonceSize {
-			return reject(StatusBadRequest, "%v params %dB, want %d-byte nonce",
+			reject(StatusBadRequest, "%v params %dB, want %d-byte nonce",
 				m.Op, len(m.Params), NonceSize)
+			return
 		}
 		if m.Op == OpOpen && len(m.Payload) < aes.BlockSize {
-			return reject(StatusCodecFailed, "aes-gcm-open payload %dB shorter than the tag",
+			reject(StatusCodecFailed, "aes-gcm-open payload %dB shorter than the tag",
 				len(m.Payload))
+			return
 		}
 		// The frame carries nonce‖body; the dispatch stage splits them.
-		return c.submit(m, nonceBody(m), tc, readAt)
+		s.submit(c, m, nonceBody(m), tc, readAt)
 	case OpECDHDerive, OpECDSASign, OpECDSAVerify, OpSecureSession:
-		svc := c.s.ecc
+		svc := s.ecc
 		if svc == nil {
-			return reject(StatusUnsupported, "%v: ecc ops disabled (curve=%s)", m.Op, CurveOff)
+			reject(StatusUnsupported, "%v: ecc ops disabled (curve=%s)", m.Op, CurveOff)
+			return
 		}
 		if why := svc.validateECC(m.Op, len(m.Payload)); why != "" {
-			return reject(StatusBadRequest, "%s", why)
+			reject(StatusBadRequest, "%s", why)
+			return
 		}
-		return c.submit(m, m.Payload, tc, readAt)
+		s.submit(c, m, m.Payload, tc, readAt)
 	default:
-		return reject(StatusUnsupported, "unknown op %d", uint8(m.Op))
+		reject(StatusUnsupported, "unknown op %d", uint8(m.Op))
 	}
 }
 
@@ -690,8 +350,8 @@ func nonceBody(m *Message) []byte {
 // a positive multiple of the unit up to Batch units per request. It
 // returns "" for a valid length, else the expectation for the
 // rejection message, formatted only then.
-func (c *conn) badRSLen(n, unit int) string {
-	switch b := c.s.cfg.Batch; {
+func (s *Server) badRSLen(n, unit int) string {
+	switch b := s.cfg.Batch; {
 	case b > 1 && (n == 0 || n%unit != 0 || n > b*unit):
 		return fmt.Sprintf("a positive multiple (max %d)", b)
 	case b <= 1 && n != unit:
@@ -702,165 +362,36 @@ func (c *conn) badRSLen(n, unit int) string {
 
 // submit pushes one request into the shared pipeline, tagged with its
 // op (as the frame epoch) and routing state. A sampled trace context
-// mints this hop's request-span id.
-func (c *conn) submit(m *Message, data []byte, tc trace.Context, readAt time.Time) bool {
-	pr := &pendingReq{c: c, op: m.Op, id: m.ID, tc: tc, read: readAt}
+// mints this hop's request-span id. Once Shutdown has closed the
+// pipeline the request is refused with StatusShuttingDown.
+func (s *Server) submit(c *Conn, m *Message, data []byte, tc trace.Context, readAt time.Time) {
+	pr := &pendingReq{s: s, c: c, op: m.Op, id: m.ID, tc: tc, read: readAt}
 	if tc.Sampled {
 		pr.span = trace.NewID()
 	}
 	pr.submitted = time.Now()
-	c.s.inflight.Add(1)
-	_, err := c.s.run.SubmitChecked(data, int(m.Op), pr)
-	if err != nil {
-		c.s.inflight.Done()
-		c.send(outMsg{m: &Message{Op: m.Op, Status: StatusShuttingDown, ID: m.ID,
+	if _, err := s.run.SubmitChecked(data, int(m.Op), pr); err != nil {
+		c.Send(Reply{Msg: &Message{Op: m.Op, Status: StatusShuttingDown, ID: m.ID,
 			Payload: []byte("server draining")}})
-		return false
-	}
-	return true
-}
-
-// send enqueues a reader-originated response (stats, rejections)
-// through the same routing gate deliver uses. The window slot
-// the reader holds guarantees queue room, so the full-queue retry is a
-// safety net, not a steady state. Returns false once the connection is
-// dead.
-func (c *conn) send(om outMsg) bool {
-	for {
-		switch c.route(om) {
-		case routeOK:
-			return true
-		case routeClosed:
-			if !om.unled {
-				c.s.ctr.dropped.Add(1)
-			}
-			return false
-		case routeFull:
-			select {
-			case <-c.dead: // writer is tearing down; next route sees closed
-			case <-time.After(time.Millisecond):
-			}
-		}
 	}
 }
 
-// writeLoop serializes responses onto the socket. On drain (graceful
-// shutdown) it flushes everything queued before closing; on dead it
-// exits immediately. The deferred close also unblocks the read loop.
-func (c *conn) writeLoop() {
-	defer c.s.writerWG.Done()
-	defer c.s.removeConn(c)
-	defer c.nc.Close()
-	for {
-		select {
-		case om := <-c.writeq:
-			c.write(om)
-		case <-c.dead:
-			c.closeWriteq()
-			c.drainRecycle()
-			return
-		case <-c.lame:
-			// Poisoned stream: bar further routing (late pipeline
-			// responses are counted dropped at the route gate), write out
-			// what is already queued — the framing-error reply — and close.
-			c.closeWriteq()
-			for {
-				select {
-				case om := <-c.writeq:
-					c.write(om)
-				default:
-					c.bw.Flush()
-					return
-				}
-			}
-		case <-c.drain:
-			// In-flight is globally drained: everything this connection
-			// will ever get is already queued.
-			for {
-				select {
-				case om := <-c.writeq:
-					c.write(om)
-				default:
-					c.bw.Flush()
-					return
-				}
-			}
-		}
+// Finish frees the frame behind a pipeline-served reply and closes the
+// request's books once the reply is written out or dropped.
+func (pr *pendingReq) Finish(st Status, written bool) {
+	if pr.f != nil {
+		pr.f.Free()
 	}
-}
-
-// drainRecycle accounts for and releases responses abandoned by an
-// error teardown: they were routed but will never reach the client.
-func (c *conn) drainRecycle() {
-	for {
-		select {
-		case om := <-c.writeq:
-			om.free()
-			c.account(om, false)
-		default:
-			return
-		}
-	}
-}
-
-// account classifies one ledgered response at its terminal point. Every
-// counted request reaches exactly one terminal: responses (an OK reply
-// hit the wire), rejects (an error-status reply hit the wire) or
-// dropped (no reply ever written) — disjoint by construction, so
-// requests == responses + rejects + dropped once the server quiesces.
-func (c *conn) account(om outMsg, written bool) {
-	if om.unled {
-		return
-	}
-	switch {
-	case !written:
-		c.s.ctr.dropped.Add(1)
-	case om.m.Status == StatusOK:
-		c.s.ctr.responses.Add(1)
-	default:
-		c.s.ctr.rejects.Add(1)
-	}
-}
-
-// write puts one response on the wire (buffered; flushed when the queue
-// momentarily empties), releases its window slot, and frees the backing
-// frame. After a write error the connection is failed and
-// further writes are dropped.
-func (c *conn) write(om outMsg) {
-	written := false
-	if !c.broken {
-		c.wd.Arm(c.nc.SetWriteDeadline, c.s.cfg.WriteTimeout)
-		err := writeMessage(c.bw, om.m)
-		if err == nil && len(c.writeq) == 0 {
-			err = c.bw.Flush()
-		}
-		if err != nil {
-			c.broken = true
-			c.s.logf("server: write to %v: %v", c.nc.RemoteAddr(), err)
-			c.fail()
-		} else {
-			written = true
-			c.s.ctr.bytesOut.Add(int64(headerSize + len(om.m.Params) + len(om.m.Payload)))
-		}
-	}
-	c.account(om, written)
-	if om.pr != nil {
-		c.s.finishRequest(c, om, written)
-	}
-	om.free()
-	select {
-	case <-c.sem:
-	default: // conn-fatal replies are sent without a slot
-	}
+	pr.s.finishRequest(pr, st, written)
 }
 
 // finishRequest closes the observability books on one pipeline-served
-// request at its terminal point in the write loop: per-op latency (with
-// a trace exemplar), SLO accounting, span recording and the wide event.
-// Reader-path replies (stats, rejections) never reach the pipeline and
-// are deliberately excluded — the latency ledger measures the datapath.
-func (s *Server) finishRequest(c *conn, om outMsg, written bool) {
-	pr := om.pr
+// request once its reply is written out or dropped: per-op latency
+// (with a trace exemplar), SLO accounting, span recording and the wide
+// event. Reader-path replies (stats, rejections) never reach the
+// pipeline and are deliberately excluded — the latency ledger measures
+// the datapath.
+func (s *Server) finishRequest(pr *pendingReq, st Status, written bool) {
 	now := time.Now()
 	lat := now.Sub(pr.read)
 	if int(pr.op) < len(s.opLat) {
@@ -869,20 +400,20 @@ func (s *Server) finishRequest(c *conn, om outMsg, written bool) {
 			s.opEx[pr.op].Record(pr.tc.Trace, int64(lat))
 		}
 	}
-	s.cfg.SLO.Observe(pr.op.String(), c.tenant, lat)
+	s.cfg.SLO.Observe(pr.op.String(), pr.c.Host(), lat)
 	if pr.tc.Sampled {
-		s.recordSpans(c, pr, om.m.Status, written, now)
+		s.recordSpans(pr, st, written, now)
 	}
-	s.wideEvent(c, pr, om.m.Status, written, lat)
+	s.wideEvent(pr, st, written, lat)
 }
 
 // recordSpans turns one traced request's hop timestamps into spans on
 // the /tracez ring: the request envelope (read to response written),
 // admission (window wait and validation before the pipeline accepted
-// the frame), the codec stage (submitted to routed, split into queue
-// wait and service at the worker's start), and write-back (response
-// routed to written).
-func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, now time.Time) {
+// the frame), the codec stage (submitted to queued, split into queue
+// wait and service at the worker's start), and write-back (reply queued
+// on the connection's outbox to written out).
+func (s *Server) recordSpans(pr *pendingReq, st Status, written bool, now time.Time) {
 	traceID := trace.FormatID(pr.tc.Trace)
 	reqID := trace.FormatID(pr.span)
 	parent := ""
@@ -901,7 +432,7 @@ func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, n
 		Service: "gfserved", Name: "request", Op: pr.op.String(),
 		StartUnixNs: pr.read.UnixNano(), DurNs: now.Sub(pr.read).Nanoseconds(),
 		Status: status,
-		Attrs:  map[string]string{"peer": c.nc.RemoteAddr().String()},
+		Attrs:  map[string]string{"peer": pr.c.RemoteAddr().String()},
 	})
 	s.spans.Add(trace.Span{
 		Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
@@ -911,16 +442,16 @@ func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, n
 	s.spans.Add(trace.Span{
 		Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
 		Service: "gfserved", Name: "stage:" + dispatchStageName, Op: pr.op.String(),
-		StartUnixNs: pr.submitted.UnixNano(), DurNs: pr.routed.Sub(pr.submitted).Nanoseconds(),
+		StartUnixNs: pr.submitted.UnixNano(), DurNs: pr.queued.Sub(pr.submitted).Nanoseconds(),
 		Attrs: map[string]string{
 			"queue_wait_ns": strconv.FormatInt(pr.started.Sub(pr.submitted).Nanoseconds(), 10),
-			"service_ns":    strconv.FormatInt(pr.routed.Sub(pr.started).Nanoseconds(), 10),
+			"service_ns":    strconv.FormatInt(pr.queued.Sub(pr.started).Nanoseconds(), 10),
 		},
 	})
 	wb := trace.Span{
 		Trace: traceID, ID: trace.FormatID(trace.NewID()), Parent: reqID,
 		Service: "gfserved", Name: "write-back", Op: pr.op.String(),
-		StartUnixNs: pr.routed.UnixNano(), DurNs: now.Sub(pr.routed).Nanoseconds(),
+		StartUnixNs: pr.queued.UnixNano(), DurNs: now.Sub(pr.queued).Nanoseconds(),
 	}
 	if !written {
 		wb.Status = "dropped"
@@ -931,7 +462,7 @@ func (s *Server) recordSpans(c *conn, pr *pendingReq, st Status, written bool, n
 // wideEvent emits the one-line structured record of a completed
 // request: every trace-sampled request, plus one in every WideEvery
 // untraced completions.
-func (s *Server) wideEvent(c *conn, pr *pendingReq, st Status, written bool, lat time.Duration) {
+func (s *Server) wideEvent(pr *pendingReq, st Status, written bool, lat time.Duration) {
 	lg := s.cfg.WideLog
 	if lg == nil {
 		return
@@ -945,7 +476,7 @@ func (s *Server) wideEvent(c *conn, pr *pendingReq, st Status, written bool, lat
 	attrs := []slog.Attr{
 		slog.String("service", "gfserved"),
 		slog.String("op", pr.op.String()),
-		slog.String("tenant", c.tenant),
+		slog.String("tenant", pr.c.Host()),
 		slog.String("status", st.String()),
 		slog.Bool("written", written),
 		slog.Int64("latency_ns", int64(lat)),

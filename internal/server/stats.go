@@ -6,37 +6,38 @@ import (
 	"repro/internal/perf"
 )
 
-// counters are the server-level atomics exported by the stats op.
-type counters struct {
-	connsAccepted atomic.Int64
-	connsActive   atomic.Int64
-	requests      atomic.Int64
-	responses     atomic.Int64
-	rejects       atomic.Int64
-	dropped       atomic.Int64
-	protoErrors   atomic.Int64
-	bytesIn       atomic.Int64
-	bytesOut      atomic.Int64
+// Ledger is a front end's request ledger and connection counters, kept
+// by its Front and read by the stats op, /statsz and /metrics.
+type Ledger struct {
+	ConnsAccepted atomic.Int64
+	ConnsActive   atomic.Int64
+	Requests      atomic.Int64
+	Responses     atomic.Int64
+	Rejects       atomic.Int64
+	Dropped       atomic.Int64
+	ProtoErrors   atomic.Int64
+	BytesIn       atomic.Int64
+	BytesOut      atomic.Int64
 }
 
-// snapshot reads the counters in an order that keeps the request ledger
-// consistent under concurrency: the terminal counters (responses,
-// rejects, dropped) first, requests last. Every request is counted
-// before its terminal outcome, so any snapshot satisfies
+// Snapshot reads the ledger in an order that keeps it consistent under
+// concurrency: the terminal counters (responses, rejects, dropped)
+// first, requests last. Every request is counted before its terminal
+// outcome, so any snapshot satisfies
 // Requests >= Responses + Rejects + Dropped, with equality once the
-// server has quiesced.
-func (c *counters) snapshot() Counters {
+// front has quiesced.
+func (l *Ledger) Snapshot() Counters {
 	out := Counters{
-		Responses:   c.responses.Load(),
-		Rejects:     c.rejects.Load(),
-		Dropped:     c.dropped.Load(),
-		ProtoErrors: c.protoErrors.Load(),
+		Responses:   l.Responses.Load(),
+		Rejects:     l.Rejects.Load(),
+		Dropped:     l.Dropped.Load(),
+		ProtoErrors: l.ProtoErrors.Load(),
 	}
-	out.ConnsAccepted = c.connsAccepted.Load()
-	out.ConnsActive = c.connsActive.Load()
-	out.BytesIn = c.bytesIn.Load()
-	out.BytesOut = c.bytesOut.Load()
-	out.Requests = c.requests.Load()
+	out.ConnsAccepted = l.ConnsAccepted.Load()
+	out.ConnsActive = l.ConnsActive.Load()
+	out.BytesIn = l.BytesIn.Load()
+	out.BytesOut = l.BytesOut.Load()
+	out.Requests = l.Requests.Load()
 	return out
 }
 
@@ -124,7 +125,7 @@ func (s *Server) Snapshot() *StatsSnapshot {
 			GHASH: s.ghash,
 			AES:   s.aes,
 		},
-		Server: s.ctr.snapshot(),
+		Server: s.ctr.Snapshot(),
 		Total:  s.pl.Total.Summary(),
 	}
 	if s.ecc != nil {
