@@ -11,6 +11,7 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/aes"
@@ -745,24 +746,20 @@ func benchmarkPipelineRS(b *testing.B, workers, batch int) {
 	}
 	b.SetBytes(int64(batch * c.K))
 	b.ResetTimer()
-	r := p.Start()
-	failed := make(chan int)
-	go func() {
-		bad := 0
-		for f := range r.Out() {
-			if f.Err != nil {
-				bad++
-			}
-			f.Free()
+	var bad atomic.Int64
+	r := p.Start(func(f *pipeline.Frame) {
+		if f.Err != nil {
+			bad.Add(1)
 		}
-		failed <- bad
-	}()
+		f.Free()
+	})
 	for i := 0; i < b.N; i++ {
 		r.Submit(payload)
 	}
 	r.Close()
-	if bad := <-failed; bad > 0 {
-		b.Fatalf("%d frames failed", bad)
+	r.Wait()
+	if n := bad.Load(); n > 0 {
+		b.Fatalf("%d frames failed", n)
 	}
 }
 

@@ -3,7 +3,8 @@
 // "production-scale" counterpart of the one-shot codec CLIs: the same
 // encode -> interleave -> channel -> deinterleave -> decode datapath
 // (optionally AES-GCM sealed end to end), fanned out over per-stage
-// worker pools with bounded queues and in-order delivery.
+// worker pools with bounded queues, each frame checked against its
+// payload by sequence number.
 //
 // With -adaptive it instead runs the closed-loop link controller of
 // internal/adaptive over a time-varying channel: decode feedback walks a
@@ -16,7 +17,7 @@
 //
 //	gfpipe [-frames 2000] [-n 255] [-k 239] [-depth 4] [-batch 1]
 //	       [-workers 0] [-queue 0] [-channel bsc|burst|none] [-ebn0 6.5]
-//	       [-p 0] [-gcm] [-metered] [-seed 1] [-quiet]
+//	       [-p 0] [-gcm] [-seed 1] [-quiet]
 //	gfpipe -adaptive [-ladder 251,239,223,191,127]
 //	       [-schedule 400:7,600:7>4:burst,400:4>7,400:7]
 //	       [-window 0] [-stepup 48]
@@ -25,7 +26,6 @@
 //
 //	gfpipe                          # RS(255,239) x4 over a BSC at Eb/N0 6.5dB
 //	gfpipe -gcm -channel burst      # sealed frames over a bursty channel
-//	gfpipe -depth 1 -metered        # single-codeword frames with cycle accounting
 //	gfpipe -workers 1               # serialize every stage (scaling baseline)
 //	gfpipe -p 0                     # explicit zero-crossover channel (lossless)
 //	gfpipe -adaptive                # rate-adaptive link over a drifting channel
@@ -47,7 +47,6 @@ import (
 	"repro/internal/aes"
 	"repro/internal/channel"
 	"repro/internal/gf"
-	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/rs"
@@ -69,7 +68,6 @@ type cliConfig struct {
 	pOverride  float64
 	pSet       bool
 	useGCM     bool
-	metered    bool
 	seed       int64
 	quiet      bool
 	metricsOut string
@@ -107,7 +105,6 @@ func main() {
 	flag.Float64Var(&cfg.ebn0, "ebn0", 6.5, "Eb/N0 (dB) for the BPSK/AWGN flip probability")
 	flag.Float64Var(&cfg.pOverride, "p", 0, "explicit crossover probability (overrides -ebn0, 0 is honored)")
 	flag.BoolVar(&cfg.useGCM, "gcm", false, "AES-GCM seal before encode, open after decode")
-	flag.BoolVar(&cfg.metered, "metered", false, "metered RS decode with cycle accounting (needs -depth 1)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "rng seed (payloads and channel)")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the per-stage table")
 	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "write a JSON metrics registry dump to this file on exit")
@@ -166,12 +163,6 @@ func (cfg cliConfig) validate() error {
 	}
 	if cfg.batch < 0 {
 		return fmt.Errorf("-batch %d must be positive", cfg.batch)
-	}
-	if cfg.metered && cfg.depth != 1 {
-		return fmt.Errorf("-metered requires -depth 1 (per-codeword cycle accounting)")
-	}
-	if cfg.metered && cfg.batch > 1 {
-		return fmt.Errorf("-metered requires -batch 1 (per-codeword cycle accounting)")
 	}
 	if cfg.adaptiveMode && cfg.batch > 1 {
 		return fmt.Errorf("-adaptive requires -batch 1 (the feedback window is per frame)")
@@ -255,19 +246,11 @@ func runFixed(cfg cliConfig, w io.Writer) (*result, error) {
 		return nil, fmt.Errorf("unknown channel %q (want bsc, burst or none)", cfg.chName)
 	}
 
-	if cfg.metered {
-		dec, err := pipeline.NewMeteredRSDecode(code, kernels.GFProc)
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, dec)
-	} else {
-		dec, err := pipeline.NewRSFrameDecode(iv)
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, dec)
+	dec, err := pipeline.NewRSFrameDecode(iv)
+	if err != nil {
+		return nil, err
 	}
+	stages = append(stages, dec)
 	if cfg.useGCM {
 		stages = append(stages, pipeline.NewOpenAEAD(gcm, aad))
 	}
@@ -302,7 +285,7 @@ func runFixed(cfg cliConfig, w io.Writer) (*result, error) {
 	pipeline.RegisterGFKernelMetrics(reg)
 
 	start := time.Now()
-	got, runErr := pl.Start().Drain(payloads)
+	got, runErr := pl.Drain(payloads)
 	elapsed := time.Since(start)
 
 	// Dump before the failure checks so a failed run still leaves its
@@ -351,18 +334,6 @@ func runFixed(cfg cliConfig, w io.Writer) (*result, error) {
 		fmt.Fprintln(w, "\nper-stage:")
 		for _, st := range pl.Stats() {
 			fmt.Fprintln(w, "  "+st.String())
-		}
-	}
-	if cfg.metered {
-		for _, st := range pl.Stats() {
-			counts := st.Counts()
-			if counts.Total() == 0 {
-				continue
-			}
-			prof := kernels.GFProc.Profile()
-			cyc := counts.Cycles(prof)
-			fmt.Fprintf(w, "\nmetered %s (%s): %d ops, %d cycles total, %.0f cycles/frame, %d GF SIMD ops\n",
-				st.Name, prof.Name, counts.Total(), cyc, float64(cyc)/float64(cfg.frames), counts.GFOp)
 		}
 	}
 

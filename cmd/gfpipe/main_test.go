@@ -190,7 +190,6 @@ func TestValidateRejectsBadCombos(t *testing.T) {
 		{"zero depth", func(c *cliConfig) { c.depth = 0 }, "-depth"},
 		{"negative workers", func(c *cliConfig) { c.workers = -1 }, "-workers"},
 		{"negative queue", func(c *cliConfig) { c.queue = -3 }, "-queue"},
-		{"metered at depth 4", func(c *cliConfig) { c.metered = true; c.depth = 4 }, "-metered"},
 		{"zero frames", func(c *cliConfig) { c.frames = 0 }, "-frames"},
 		{"adaptive zero frames", func(c *cliConfig) {
 			c.adaptiveMode = true

@@ -224,16 +224,17 @@ type ForkableChannel = channel.Forker
 
 // Pipeline is a concurrent, batched, backpressured frame-processing
 // engine: an ordered list of stages, each fanned out over a bounded
-// worker pool, with output delivered strictly in submission order
-// (Start) or in completion order to a callback (StartFunc). See
+// worker pool. Start hands each finished frame to a callback in
+// completion order; Drain runs a batch of payloads and returns the
+// frames indexed by Seq, which is submission order. See
 // docs/PIPELINE.md and cmd/gfpipe.
 type Pipeline = pipeline.Pipeline
 
 // PipelineConfig sizes a pipeline (workers per stage, queue depth).
 type PipelineConfig = pipeline.Config
 
-// PipelineRun is one execution of a pipeline: Submit frames, range over
-// Out, Close when done.
+// PipelineRun is one execution of a pipeline: Submit frames, take each
+// back through the callback given to Pipeline.Start, Close when done.
 type PipelineRun = pipeline.Run
 
 // Frame is one unit of work flowing through a pipeline.

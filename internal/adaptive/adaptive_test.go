@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/gf"
@@ -150,9 +152,10 @@ func TestControllerValidation(t *testing.T) {
 	}
 }
 
-// closedLoop runs the full adaptive link over a drifting bursty channel
-// and returns the transitions and epoch stats.
-func closedLoop(t *testing.T, workers, queue, window int, seed int64) ([]Transition, []EpochStats) {
+// closedLoop runs the full adaptive link over a drifting bursty channel,
+// with any extra stages after the decoder, and returns the transitions
+// and epoch stats. OnFrame must see every frame in Seq order.
+func closedLoop(t *testing.T, workers, queue, window int, seed int64, extra ...pipeline.Stage) ([]Transition, []EpochStats) {
 	t.Helper()
 	tv, err := channel.NewTimeVarying([]channel.Episode{
 		{Frames: 60, StartEbN0: 8, EndEbN0: 8},
@@ -182,11 +185,13 @@ func closedLoop(t *testing.T, workers, queue, window int, seed int64) ([]Transit
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := pipeline.New(pipeline.Config{Workers: workers, Queue: queue}, enc, corrupt, dec)
+	pl, err := pipeline.New(pipeline.Config{Workers: workers, Queue: queue},
+		append([]pipeline.Stage{enc, corrupt, dec}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pending := map[uint64][]byte{}
+	var next uint64
 	drv := &Driver{
 		Ctrl:   ctrl,
 		Window: window,
@@ -198,6 +203,10 @@ func closedLoop(t *testing.T, workers, queue, window int, seed int64) ([]Transit
 			return b
 		},
 		OnFrame: func(f *pipeline.Frame) {
+			if f.Seq != next {
+				t.Errorf("OnFrame saw seq %d, want %d", f.Seq, next)
+			}
+			next = f.Seq + 1
 			want := pending[f.Seq]
 			delete(pending, f.Seq)
 			if f.Err == nil && !bytes.Equal(f.Data, want) {
@@ -275,5 +284,48 @@ func TestDriverWindowClamp(t *testing.T) {
 	transitions, _ := closedLoop(t, 1, 4, 1000, 11)
 	if len(transitions) == 0 {
 		t.Error("clamped-window run produced no transitions")
+	}
+}
+
+// TestDriverRestoresSeqOrder: the pipeline delivers in completion order,
+// and the driver must still feed the controller and OnFrame in Seq
+// order. An extra last stage holds each even-Seq frame until its odd
+// successor has passed, so every pair completes out of order; OnFrame
+// must still see Seq 0, 1, 2, … (closedLoop checks), and the rate
+// trajectory and epoch stats must equal a one-worker run's. Four
+// workers per stage and a window of four give every frame in flight a
+// worker of the holding stage, so the holds cannot starve each other.
+func TestDriverRestoresSeqOrder(t *testing.T) {
+	const frames, window = 300, 4
+	passed := make([]chan struct{}, frames)
+	for i := range passed {
+		passed[i] = make(chan struct{})
+	}
+	var timeouts atomic.Int32
+	hold := pipeline.Func{Label: "hold-even", F: func(f *pipeline.Frame) error {
+		if f.Seq%2 == 1 {
+			close(passed[f.Seq])
+			return nil
+		}
+		select {
+		case <-passed[f.Seq+1]:
+		case <-time.After(5 * time.Second):
+			timeouts.Add(1)
+		}
+		return nil
+	}}
+	tr1, ep1 := closedLoop(t, 1, 8, window, 11)
+	tr4, ep4 := closedLoop(t, 4, 8, window, 11, hold)
+	if n := timeouts.Load(); n != 0 {
+		t.Fatalf("%d even frames waited 5s for their successor", n)
+	}
+	if !reflect.DeepEqual(tr1, tr4) {
+		t.Fatalf("trajectory with out-of-order completion diverged:\n1: %v\n4: %v", tr1, tr4)
+	}
+	if !reflect.DeepEqual(ep1, ep4) {
+		t.Fatalf("epoch stats with out-of-order completion diverged:\n1: %+v\n4: %+v", ep1, ep4)
+	}
+	if len(tr1) == 0 {
+		t.Fatal("driver-order test exercised no transitions")
 	}
 }

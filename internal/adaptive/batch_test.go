@@ -35,7 +35,8 @@ func TestEpochSwitchMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := pl.Start()
+	got := make([]*pipeline.Frame, 4)
+	r := pl.Start(func(f *pipeline.Frame) { got[f.Seq] = f })
 
 	const batch = 3
 	rng := rand.New(rand.NewSource(31))
@@ -63,17 +64,18 @@ func TestEpochSwitchMidBatch(t *testing.T) {
 	p2 := payload(epoch0, batch)
 	p3 := payload(epoch1, 1)
 
-	go func() {
-		r.SubmitTagged(p0, epoch0)
-		r.SubmitTagged(p1, epoch1)
-		r.SubmitTagged(p2, epoch0)
-		r.SubmitTagged(p3, epoch1)
-		r.Close()
-	}()
+	r.SubmitTagged(p0, epoch0)
+	r.SubmitTagged(p1, epoch1)
+	r.SubmitTagged(p2, epoch0)
+	r.SubmitTagged(p3, epoch1)
+	r.Close()
+	r.Wait()
 	want := [][]byte{p0, p1, p2, p3}
 	wantWidth := []int{batch * 2, batch * 2, batch * 2, 1 * 2} // ×interleave depth
-	i := 0
-	for f := range r.Out() {
+	for i, f := range got {
+		if f == nil {
+			t.Fatalf("frame %d never delivered", i)
+		}
 		if f.Err != nil {
 			t.Fatalf("frame %d (epoch %d) failed: %v", f.Seq, f.Epoch, f.Err)
 		}
@@ -83,9 +85,5 @@ func TestEpochSwitchMidBatch(t *testing.T) {
 		if f.Width != wantWidth[i] {
 			t.Errorf("frame %d Width = %d, want %d", f.Seq, f.Width, wantWidth[i])
 		}
-		i++
-	}
-	if i != len(want) {
-		t.Fatalf("delivered %d frames, want %d", i, len(want))
 	}
 }

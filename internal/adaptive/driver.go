@@ -39,18 +39,20 @@ func (e EpochStats) FailureRate() float64 {
 	return float64(e.Failed) / float64(e.Frames)
 }
 
-// Driver runs the closed loop over a started pipeline: it submits frames
-// tagged with the controller's current epoch (payload sized to that
-// epoch's code), consumes decoded frames in delivery order, and feeds
-// each outcome back to the controller.
+// Driver runs the closed loop over a pipeline: it submits frames tagged
+// with the controller's current epoch (payload sized to that epoch's
+// code), consumes decoded frames in Seq order, and feeds each outcome
+// back to the controller.
 //
 // Submission never runs more than the window ahead of consumed feedback.
-// That bounds the controller's reaction lag, and — because pipeline
-// delivery order equals submission order — makes the rate trajectory a
-// pure function of payloads, channel schedule and controller config,
-// independent of worker count and goroutine scheduling. The window is
-// clamped to the pipeline's queue depth, which also guarantees Submit
-// can never block with undelivered frames stuck behind it (no deadlock).
+// That bounds the controller's reaction lag. The pipeline delivers in
+// completion order; the driver parks early finishers in a window-sized
+// slot array and consumes them in Seq order, which makes the rate
+// trajectory a pure function of payloads, channel schedule and
+// controller config, independent of worker count and goroutine
+// scheduling. The window is clamped to the pipeline's queue depth,
+// which also guarantees Submit can never block with undelivered frames
+// stuck behind it (no deadlock).
 type Driver struct {
 	Ctrl *Controller
 	// Window is the max frames in flight; <= 0 or > queue depth means
@@ -88,7 +90,11 @@ func (d *Driver) Run(pl *pipeline.Pipeline, frames int) ([]EpochStats, error) {
 		window = q
 	}
 
-	run := pl.Start()
+	// At most window frames are in flight, so the buffered send never
+	// blocks a worker, and their Seqs map to distinct slots.
+	finished := make(chan *pipeline.Frame, window)
+	run := pl.Start(func(f *pipeline.Frame) { finished <- f })
+	slots := make([]*pipeline.Frame, window)
 	var epochs []EpochStats
 	submitted, consumed := 0, 0
 	for consumed < frames {
@@ -104,10 +110,13 @@ func (d *Driver) Run(pl *pipeline.Pipeline, frames int) ([]EpochStats, error) {
 				run.Close()
 			}
 		}
-		f, ok := <-run.Out()
-		if !ok {
-			return epochs, fmt.Errorf("adaptive: pipeline closed after %d of %d frames", consumed, frames)
+		slot := consumed % window
+		for slots[slot] == nil {
+			f := <-finished
+			slots[f.Seq%uint64(window)] = f
 		}
+		f := slots[slot]
+		slots[slot] = nil
 		d.Ctrl.Observe(Feedback{
 			Seq: f.Seq, Epoch: f.Epoch, Failed: f.Err != nil, CorrectedMax: f.CorrectedMax,
 		})

@@ -116,6 +116,34 @@ func TestProxyOneConnectionPerBackend(t *testing.T) {
 	checkLedger(t, p)
 }
 
+// TestProxyOversizeSealKeepsBackendConnection: a seal at the payload
+// guard comes back too large through the proxy, with no backend failure
+// and no redial: the backend rejects it instead of answering 16 bytes
+// over the guard, which the proxy's backend client used to take for a
+// framing error, tearing down the shared connection under every other
+// forward on it and answering the seal unavailable.
+func TestProxyOversizeSealKeepsBackendConnection(t *testing.T) {
+	b := startBackend(t, server.Config{Workers: 1})
+	p, addr := startProxy(t, fastHealth(Config{Backends: []BackendSpec{b.spec()}}))
+	c := dialProxy(t, addr)
+	nonce := make([]byte, server.NonceSize)
+	_, err := c.Seal(nonce, make([]byte, server.DefaultMaxPayload))
+	var se *server.StatusError
+	if !errors.As(err, &se) || se.Status != server.StatusTooLarge {
+		t.Fatalf("seal at the guard: %v, want a %v rejection", err, server.StatusTooLarge)
+	}
+	if _, err := c.Seal(nonce, []byte("after the oversize seal")); err != nil {
+		t.Fatalf("seal after the oversize one: %v", err)
+	}
+	if n := p.ctr.backendFails.Load(); n != 0 {
+		t.Errorf("backend failures = %d, want 0", n)
+	}
+	if n := b.srv.Snapshot().Server.ConnsAccepted; n != 1 {
+		t.Errorf("backend accepted %d GFP1 connections, want 1 (no redial)", n)
+	}
+	checkLedger(t, p)
+}
+
 // startPipelinedFake runs a GFP1 backend that, like a gfserved and
 // unlike startFake, keeps reading while handle runs, so a request that
 // handle holds back delays no other on its connection. It returns the

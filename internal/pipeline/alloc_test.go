@@ -98,9 +98,9 @@ func TestFrameLinkStagesZeroAlloc(t *testing.T) {
 }
 
 // TestSubmitDeliverZeroAlloc walks the whole engine — Submit, ring
-// handoff, stage workers, reorder sink, delivery — and requires the
-// steady state to allocate nothing per frame. Regression: Submit used to
-// build a fresh &Frame{} per call (192 B/frame) instead of drawing from
+// handoff, stage workers, the deliver func — and requires the steady
+// state to allocate nothing per frame. Regression: Submit used to build
+// a fresh &Frame{} per call (192 B/frame) instead of drawing from
 // framePool; the 0.5 threshold makes any reintroduced 1-alloc-per-frame
 // path fail, while tolerating a stray GC emptying a pool mid-run.
 // The payload is four codewords: a batch of four at depth 1, one frame
@@ -110,27 +110,17 @@ func TestSubmitDeliverZeroAlloc(t *testing.T) {
 	for _, depth := range []int{1, 4} {
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			e, d := rsStages(t, c, depth)
-			p := Must(Config{Workers: 1, Queue: 4}, e, d)
-			r := p.Start()
+			delivered := make(chan bool, 1)
+			r := Must(Config{Workers: 1, Queue: 4}, e, d).Start(func(f *Frame) {
+				ok := f.Err == nil
+				f.Free()
+				delivered <- ok
+			})
 			payload := make([]byte, 4*c.K)
-			rng := rand.New(rand.NewSource(7))
-			for i := range payload {
-				payload[i] = byte(rng.Intn(256))
-			}
-			delivered := make(chan struct{})
-			go func() {
-				for f := range r.Out() {
-					ok := f.Err == nil
-					f.Free()
-					if ok {
-						delivered <- struct{}{}
-					}
-				}
-				close(delivered)
-			}()
+			rand.New(rand.NewSource(7)).Read(payload)
 			run := func() {
 				r.Submit(payload)
-				if _, ok := <-delivered; !ok {
+				if !<-delivered {
 					t.Fatal("frame failed in pipeline")
 				}
 			}
@@ -143,6 +133,7 @@ func TestSubmitDeliverZeroAlloc(t *testing.T) {
 			}
 			avg := testing.AllocsPerRun(200, run)
 			r.Close()
+			r.Wait()
 			if avg >= 0.5 {
 				t.Fatalf("steady-state submit->deliver allocates %.2f times per frame, want 0", avg)
 			}

@@ -33,7 +33,7 @@ func rsBatchPipeline(t *testing.T, cfg Config, batch int) *Pipeline {
 // TestBatchEquivalence: packing codewords into batched frames must be
 // bit-exact with submitting them one per frame — same decoded payloads,
 // same per-codeword corrections — across worker counts (run under -race
-// this also exercises the sharded sink's handoffs).
+// this also exercises the stage handoffs).
 func TestBatchEquivalence(t *testing.T) {
 	const (
 		K     = 239
@@ -49,12 +49,11 @@ func TestBatchEquivalence(t *testing.T) {
 	run := func(workers, batchSize int) (data []byte, corrected int) {
 		t.Helper()
 		p := rsBatchPipeline(t, Config{Workers: workers, Queue: 4}, batchSize)
-		r := p.Start()
 		var payloads [][]byte
 		for off := 0; off < len(stream); off += batchSize * K {
 			payloads = append(payloads, stream[off:off+batchSize*K])
 		}
-		frames, err := r.Drain(payloads)
+		frames, err := p.Drain(payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +95,6 @@ func TestPartialFinalBatch(t *testing.T) {
 		stream[i] = byte(rng.Intn(256))
 	}
 	p := rsBatchPipeline(t, Config{Workers: 2, Queue: 4}, batch)
-	r := p.Start()
 	var payloads [][]byte
 	for off := 0; off < len(stream); off += batch * K {
 		end := off + batch*K
@@ -105,7 +103,7 @@ func TestPartialFinalBatch(t *testing.T) {
 		}
 		payloads = append(payloads, stream[off:end])
 	}
-	frames, err := r.Drain(payloads)
+	frames, err := p.Drain(payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +132,7 @@ func TestBatchLengthValidation(t *testing.T) {
 	c := rs.Must(gf.MustDefault(8), 255, 239)
 	enc, _ := rsStages(t, c, 1)
 	p := Must(Config{Workers: 1, Queue: 2}, enc)
-	r := p.Start()
-	frames, err := r.Drain([][]byte{make([]byte, c.K+1), {}})
+	frames, err := p.Drain([][]byte{make([]byte, c.K+1), {}})
 	if err == nil {
 		t.Fatal("expected ragged/empty payloads to fail")
 	}

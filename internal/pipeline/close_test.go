@@ -4,12 +4,16 @@ import (
 	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func idStage() Func {
 	return Func{Label: "id", F: func(f *Frame) error { return nil }}
 }
+
+// discard is a deliver func that drops every frame.
+func discard(*Frame) {}
 
 // TestNewRejectsBadConfig: negative sizes are rejected in New, not
 // deferred to a misbehaving run.
@@ -38,17 +42,16 @@ func TestNewRejectsBadConfig(t *testing.T) {
 
 // TestCloseIdempotent: double Close must be a no-op, not a panic.
 func TestCloseIdempotent(t *testing.T) {
-	r := Must(Config{Workers: 1}, idStage()).Start()
+	r := Must(Config{Workers: 1}, idStage()).Start(discard)
 	r.Close()
 	r.Close()
-	for range r.Out() {
-	}
+	r.Wait()
 }
 
 // TestSubmitCheckedAfterClose returns ErrClosed, and SubmitTagged
 // panics with it.
 func TestSubmitCheckedAfterClose(t *testing.T) {
-	r := Must(Config{Workers: 1}, idStage()).Start()
+	r := Must(Config{Workers: 1}, idStage()).Start(discard)
 	r.Close()
 	if _, err := r.SubmitChecked([]byte{1}, 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SubmitChecked after Close = %v, want ErrClosed", err)
@@ -69,7 +72,8 @@ func TestSubmitCheckedAfterClose(t *testing.T) {
 func TestSubmitCheckedRacesClose(t *testing.T) {
 	const submitters = 8
 	const perSubmitter = 200
-	r := Must(Config{Workers: 2, Queue: 4}, idStage()).Start()
+	var delivered atomic.Int64
+	r := Must(Config{Workers: 2, Queue: 4}, idStage()).Start(func(*Frame) { delivered.Add(1) })
 
 	var accepted, rejected int64
 	var mu sync.Mutex
@@ -95,23 +99,14 @@ func TestSubmitCheckedRacesClose(t *testing.T) {
 		}(s)
 	}
 
-	delivered := 0
-	sink := make(chan struct{})
-	go func() {
-		defer close(sink)
-		for range r.Out() {
-			delivered++
-		}
-	}()
-
 	close(start)
 	// Let some submissions through, then close concurrently.
 	r.Close()
 	wg.Wait()
-	<-sink
+	r.Wait()
 
-	if int64(delivered) != accepted {
-		t.Fatalf("delivered %d frames, accepted %d", delivered, accepted)
+	if got := delivered.Load(); got != accepted {
+		t.Fatalf("delivered %d frames, accepted %d", got, accepted)
 	}
 	if accepted+rejected != submitters*perSubmitter {
 		t.Fatalf("accepted %d + rejected %d != %d", accepted, rejected, submitters*perSubmitter)
@@ -121,7 +116,7 @@ func TestSubmitCheckedRacesClose(t *testing.T) {
 // TestRunClosed pins the Closed() accessor.
 func TestRunClosed(t *testing.T) {
 	p := Must(Config{Workers: 1}, Func{Label: "nop", F: func(f *Frame) error { return nil }})
-	run := p.Start()
+	run := p.Start(discard)
 	if run.Closed() {
 		t.Error("fresh run reports closed")
 	}

@@ -2,7 +2,7 @@ package pipeline
 
 import (
 	"errors"
-	"math/rand"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -11,12 +11,12 @@ import (
 	"repro/internal/rs"
 )
 
-// TestStartFuncCompletionOrder: a StartFunc run hands each frame to the
-// deliver func as soon as its stage returns. Frame 0 blocks its worker
-// until the next four frames have been delivered through the other one,
-// which an ordered sink could never do. Stage errors are delivered and
-// counted, Out is closed from the start, and Wait returns after Close.
-func TestStartFuncCompletionOrder(t *testing.T) {
+// TestStartCompletionOrder: a run hands each frame to the deliver func
+// as soon as its stage returns. Frame 0 blocks its worker until the
+// next four frames have been delivered through the other one, which a
+// sink releasing frames in Seq order could never do. Stage errors are
+// delivered and counted, and Wait returns after Close.
+func TestStartCompletionOrder(t *testing.T) {
 	const frames = 5
 	release := make(chan struct{})
 	boom := errors.New("odd byte")
@@ -34,7 +34,7 @@ func TestStartFuncCompletionOrder(t *testing.T) {
 	}})
 	var mu sync.Mutex
 	var order []uint64
-	r := p.StartFunc(func(f *Frame) {
+	r := p.Start(func(f *Frame) {
 		mu.Lock()
 		order = append(order, f.Seq)
 		if len(order) == frames-1 {
@@ -49,9 +49,6 @@ func TestStartFuncCompletionOrder(t *testing.T) {
 		}
 		f.Free()
 	})
-	if _, ok := <-r.Out(); ok {
-		t.Fatal("Out of a StartFunc run yielded a frame")
-	}
 	for i := 0; i < frames; i++ {
 		r.Submit([]byte{byte(i)})
 	}
@@ -71,37 +68,40 @@ func TestStartFuncCompletionOrder(t *testing.T) {
 	}
 }
 
-// TestSubmitDeliverFuncZeroAlloc is TestSubmitDeliverZeroAlloc for the
-// completion-order delivery: Submit, stage workers and the deliver func
-// allocate nothing per frame once the pools are warm.
-func TestSubmitDeliverFuncZeroAlloc(t *testing.T) {
-	c := rs.Must(gf.MustDefault(8), 255, 223)
-	e, d := rsStages(t, c, 1)
-	delivered := make(chan bool, 1)
-	r := Must(Config{Workers: 1, Queue: 4}, e, d).StartFunc(func(f *Frame) {
-		ok := f.Err == nil
-		f.Free()
-		delivered <- ok
-	})
-	payload := make([]byte, 4*c.K)
-	rand.New(rand.NewSource(7)).Read(payload)
-	run := func() {
-		r.Submit(payload)
-		if !<-delivered {
-			t.Fatal("frame failed in pipeline")
+// TestFailedBatchedFrameChargesWidth: a batched frame that fails in a
+// stage after the codec stage set its width charges that full width to
+// Sink.FailedCodewords, not 1. Frames of 4, 3 and 2 codewords go
+// through an RS encode; a later stage fails every frame wider than 2.
+func TestFailedBatchedFrameChargesWidth(t *testing.T) {
+	c := rs.Must(gf.MustDefault(8), 255, 239)
+	enc, _ := rsStages(t, c, 1)
+	failWide := Func{Label: "fail-wide", F: func(f *Frame) error {
+		if f.Width > 2 {
+			return fmt.Errorf("width %d", f.Width)
+		}
+		return nil
+	}}
+	p := Must(Config{Workers: 2, Queue: 4}, enc, failWide)
+	frames, err := p.Drain([][]byte{make([]byte, 4*c.K), make([]byte, 3*c.K), make([]byte, 2*c.K)})
+	if err == nil {
+		t.Fatal("Drain reported no failure")
+	}
+	for i, want := range []bool{true, true, false} {
+		if got := frames[i].Err != nil; got != want {
+			t.Errorf("frame %d (width %d) failed = %v, want %v", i, frames[i].Width, got, want)
 		}
 	}
-	for i := 0; i < 8; i++ {
-		run() // warm frame pool, payload pool and codec scratch
+	sink := &p.Sink
+	if got := sink.Frames.Load(); got != 3 {
+		t.Errorf("Sink.Frames = %d, want 3", got)
 	}
-	if raceEnabled {
-		r.Close()
-		t.Skip("alloc counting is unreliable under -race (pool randomization)")
+	if got := sink.Codewords.Load(); got != 9 {
+		t.Errorf("Sink.Codewords = %d, want 9", got)
 	}
-	avg := testing.AllocsPerRun(200, run)
-	r.Close()
-	r.Wait()
-	if avg >= 0.5 {
-		t.Fatalf("steady-state submit->deliver allocates %.2f times per frame, want 0", avg)
+	if got := sink.Failed.Load(); got != 2 {
+		t.Errorf("Sink.Failed = %d, want 2", got)
+	}
+	if got := sink.FailedCodewords.Load(); got != 7 {
+		t.Errorf("Sink.FailedCodewords = %d, want 7 (full width per failed frame)", got)
 	}
 }

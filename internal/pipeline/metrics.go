@@ -5,13 +5,12 @@ import (
 
 	"repro/internal/gf"
 	"repro/internal/obs"
-	"repro/internal/perf"
 )
 
 // RegisterMetrics registers every stage's live stats with reg as
-// read-through instruments under the gfp_pipeline_* and gfp_model_*
-// names. Call once per pipeline per registry; stages sharing a name are
-// disambiguated with a "#index" suffix on the stage label.
+// read-through instruments under the gfp_pipeline_* names. Call once
+// per pipeline per registry; stages sharing a name are disambiguated
+// with a "#index" suffix on the stage label.
 func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	seen := make(map[string]bool)
 	for i, st := range p.stats {
@@ -41,33 +40,6 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 			"Wall-clock Process latency per frame.", &st.Latency, l)
 		reg.HistogramFunc("gfp_pipeline_stage_queue_wait_seconds",
 			"Time frames spent ready-but-unserved before the stage.", &st.QueueWait, l)
-
-		// Cycle-model accounting from metered stages: per-class op totals
-		// and their price on the paper's GF-processor timing — the
-		// software analogue of the paper's Table 5 per-kernel counts.
-		for _, cl := range []struct {
-			class string
-			fn    func(perf.Counts) int64
-		}{
-			{"ld", func(c perf.Counts) int64 { return c.LD }},
-			{"st", func(c perf.Counts) int64 { return c.ST }},
-			{"alu", func(c perf.Counts) int64 { return c.ALU }},
-			{"mul", func(c perf.Counts) int64 { return c.Mul }},
-			{"branch", func(c perf.Counts) int64 { return c.Branch }},
-			{"branch_nt", func(c perf.Counts) int64 { return c.BranchNT }},
-			{"gf_op", func(c perf.Counts) int64 { return c.GFOp }},
-			{"gf32", func(c perf.Counts) int64 { return c.GF32 }},
-		} {
-			fn := cl.fn
-			reg.CounterFunc("gfp_model_ops_total",
-				"Modeled operations executed by metered stages, by instruction class.",
-				func() int64 { return fn(st.Counts()) }, l, obs.L("class", cl.class))
-		}
-		gfProf := perf.GFProcessor()
-		reg.CounterFunc("gfp_model_cycles_total",
-			"Modeled cycles of metered stages priced on the paper's GF-processor timing.",
-			func() int64 { return st.Counts().Cycles(gfProf) },
-			l, obs.L("machine", "gfproc"))
 	}
 
 	reg.HistogramFunc("gfp_pipeline_latency_seconds",

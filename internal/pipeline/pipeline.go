@@ -8,10 +8,9 @@
 // worker pool (Config.Workers goroutines) fed by a bounded ring, so a
 // slow stage exerts backpressure all the way back to Run.Submit instead
 // of buffering without limit. Frames are stamped with a sequence number
-// on submission. A run started with Start reorders them at the sink, so
-// Out yields them in submission order no matter how workers interleave;
-// a run started with StartFunc hands each frame to the caller as soon as
-// its last stage returns, for callers that match results themselves.
+// on submission and handed to the run's deliver func as soon as their
+// last stage returns, in completion order; callers that need submission
+// order index the frames by Seq (Pipeline.Drain does).
 //
 // Stage implementations must be safe for concurrent use by multiple
 // workers (the codec adapters in stages.go are — see the concurrency
@@ -27,8 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/perf"
 )
 
 // Frame is one unit of work flowing through a pipeline. The payload in
@@ -36,8 +33,8 @@ import (
 // codeword -> message ...). A Frame is owned by exactly one stage worker
 // at a time, so stages may mutate it freely without locking.
 type Frame struct {
-	// Seq is the submission sequence number, assigned by Run.Submit.
-	// Frames leave an ordered run (Start) in increasing Seq order.
+	// Seq is the submission sequence number, assigned by Run.Submit:
+	// dense from 0 within a run.
 	Seq uint64
 	// Epoch tags the frame with the configuration epoch it was submitted
 	// under (see Run.SubmitTagged). Epoch-aware stage pairs — e.g. the
@@ -59,9 +56,6 @@ type Frame struct {
 	// degradation signal.
 	Corrected    int
 	CorrectedMax int
-	// Counts accumulates perf cycle accounting reported by metered
-	// stages (zero for unmetered pipelines).
-	Counts perf.Counts
 	// Tag is opaque caller context carried through the pipeline
 	// untouched. Multiplexers (e.g. the codec server) attach their
 	// routing state here at submission and read it back at delivery,
@@ -134,13 +128,12 @@ type Config struct {
 	// Workers is the worker-pool size of every stage. 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Queue is the depth of each stage's input ring (and of the output
-	// channel), in frames. 0 means 2*Workers. Smaller values tighten
-	// backpressure; larger values smooth out latency jitter between
-	// stages. Note the unit is frames: a submitter that packs several
-	// codewords into each frame's payload (the codec stages infer each
-	// frame's width from its length) scales byte-level buffering with
-	// its batch.
+	// Queue is the depth of each stage's input ring, in frames. 0 means
+	// 2*Workers. Smaller values tighten backpressure; larger values
+	// smooth out latency jitter between stages. Note the unit is
+	// frames: a submitter that packs several codewords into each
+	// frame's payload (the codec stages infer each frame's width from
+	// its length) scales byte-level buffering with its batch.
 	Queue int
 }
 
@@ -207,13 +200,11 @@ func (p *Pipeline) Stats() []*StageStats { return p.stats }
 // Config returns the resolved configuration (defaults applied).
 func (p *Pipeline) Config() Config { return p.cfg }
 
-// Run is one execution of a pipeline: submit frames, take them back
-// (in submission order from Out, or in completion order through the
-// deliver func given to StartFunc), Close when done.
+// Run is one execution of a pipeline: submit frames, take each back
+// through the deliver func given to Start, Close when done.
 type Run struct {
 	p    *Pipeline
 	in   *frameRing
-	out  chan *Frame
 	seq  atomic.Uint64
 	done chan struct{}
 
@@ -226,56 +217,26 @@ type Run struct {
 	closed bool
 }
 
-// Start launches the worker pools and returns a Run that delivers on
-// Out in submission order. Stages hand frames downstream through bulk
-// rings; the last stage feeds the reorder ring, whose selector folds
-// delivery stats and releases frames in Seq order.
-func (p *Pipeline) Start() *Run {
-	r := p.newRun()
-	r.out = make(chan *Frame, p.cfg.Queue)
-	finished := newFrameRing(p.cfg.Queue)
-	r.startStages(finished, stageRun)
-	go r.selector(finished)
-	return r
-}
-
-// StartFunc launches the worker pools and returns a Run that delivers
-// in completion order, for callers that match results themselves (the
-// codec server routes each reply by its Tag). The last stage's worker
-// folds a frame's delivery stats and calls deliver on it as soon as the
-// stage returns, so a slow frame holds back only its own worker. Every
-// worker takes one frame per dequeue: a batched run would make the
-// frames behind a slow one wait inside the worker. deliver runs
-// concurrently on the last stage's workers and should not block; it
-// owns the frame from then on. Out is closed and unused, and Wait
-// returns once the workers have exited after Close.
-func (p *Pipeline) StartFunc(deliver func(*Frame)) *Run {
-	r := p.newRun()
-	r.out = make(chan *Frame)
-	close(r.out)
-	r.startStages(deliverSink{r: r, deliver: deliver}, 1)
-	return r
-}
-
-func (p *Pipeline) newRun() *Run {
-	return &Run{p: p, in: newFrameRing(p.cfg.Queue), done: make(chan struct{})}
-}
-
-// startStages spawns every stage's worker pool, chained through rings,
-// with the last stage feeding sink. Workers dequeue up to runLen frames
-// per ring synchronization.
-func (r *Run) startStages(sink frameSink, runLen int) {
-	p := r.p
+// Start launches the worker pools and returns a Run that hands each
+// frame to deliver as soon as its last stage returns, in completion
+// order. Stages hand frames downstream through bulk rings, up to
+// stageRun frames per dequeue; the last stage's workers take one frame
+// per dequeue, so the frames behind a slow one never wait inside its
+// worker, and fold each frame's delivery stats before calling deliver.
+// deliver runs concurrently on the last stage's workers and should not
+// block; it owns the frame from then on. Wait returns once the workers
+// have exited after Close.
+func (p *Pipeline) Start(deliver func(*Frame)) *Run {
+	r := &Run{p: p, in: newFrameRing(p.cfg.Queue), done: make(chan struct{})}
+	last := len(p.stages) - 1
 	src := r.in
-	for i, s := range p.stages {
-		if i == len(p.stages)-1 {
-			startStage(s, p.stats[i], p.cfg.Workers, runLen, src, sink)
-			break
-		}
+	for i, s := range p.stages[:last] {
 		next := newFrameRing(p.cfg.Queue)
-		startStage(s, p.stats[i], p.cfg.Workers, runLen, src, next)
+		startStage(s, p.stats[i], p.cfg.Workers, stageRun, src, next)
 		src = next
 	}
+	startStage(p.stages[last], p.stats[last], p.cfg.Workers, 1, src, deliverSink{r: r, deliver: deliver})
+	return r
 }
 
 // startStage spawns the worker pool for one stage and closes dst once
@@ -319,11 +280,8 @@ func startStage(s Stage, st *StageStats, workers, runLen int, src *frameRing, ds
 func runStage(s Stage, st *StageStats, f *Frame) {
 	st.BytesIn.Add(int64(len(f.Data)))
 	beforeCorrected := f.Corrected
-	beforeCounts := f.Counts
 	start := time.Now()
-	if !f.ready.IsZero() { // frames injected past Submit carry no ready time
-		st.QueueWait.Observe(start.Sub(f.ready))
-	}
+	st.QueueWait.Observe(start.Sub(f.ready))
 	err := s.Process(f)
 	// The frame is ready for the next stage the moment this one returns:
 	// time in the worker's run buffer and any blocked downstream put
@@ -331,9 +289,6 @@ func runStage(s Stage, st *StageStats, f *Frame) {
 	f.ready = time.Now()
 	st.Latency.Observe(f.ready.Sub(start))
 	st.Frames.Add(1)
-	if f.Counts != beforeCounts {
-		st.counts.add(subCounts(f.Counts, beforeCounts))
-	}
 	if err != nil {
 		f.Err = err
 		f.FailedAt = s.Name()
@@ -344,16 +299,6 @@ func runStage(s Stage, st *StageStats, f *Frame) {
 	st.Codewords.Add(int64(f.width()))
 	if d := f.Corrected - beforeCorrected; d > 0 {
 		st.Corrected.Add(int64(d))
-	}
-}
-
-// subCounts returns a - b field-wise, attributing a frame's counts delta
-// to the stage that produced it.
-func subCounts(a, b perf.Counts) perf.Counts {
-	return perf.Counts{
-		LD: a.LD - b.LD, ST: a.ST - b.ST, ALU: a.ALU - b.ALU, Mul: a.Mul - b.Mul,
-		Branch: a.Branch - b.Branch, BranchNT: a.BranchNT - b.BranchNT,
-		GFOp: a.GFOp - b.GFOp, GF32: a.GF32 - b.GF32,
 	}
 }
 
@@ -408,17 +353,10 @@ func (r *Run) Closed() bool {
 	return r.closed
 }
 
-// Out delivers processed frames in submission order. It is closed after
-// Close once every submitted frame has been delivered. A run started
-// with StartFunc delivers through its func instead, and its Out is
-// closed from the start.
-func (r *Run) Out() <-chan *Frame { return r.out }
-
 // Close declares the input complete. In-flight frames still drain to
-// Out (or the deliver func), and Out is closed afterwards. Close is
-// idempotent and safe to call concurrently with SubmitChecked; it
-// blocks until submitters already inside SubmitChecked have handed
-// their frame to the first stage.
+// the deliver func. Close is idempotent and safe to call concurrently
+// with SubmitChecked; it blocks until submitters already inside
+// SubmitChecked have handed their frame to the first stage.
 func (r *Run) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -430,29 +368,60 @@ func (r *Run) Close() {
 }
 
 // Wait blocks until the pipeline has fully drained (Close called and
-// every frame delivered). On an ordered run the caller must be
-// consuming Out — or have consumed it — for Wait to return.
+// every frame delivered).
 func (r *Run) Wait() { <-r.done }
 
-// Drain submits every payload, closes the input and collects all frames
-// in submission order — the convenient batch entry point for a run
-// started with Start. Frames whose
-// stages failed carry Err; the first such error (by Seq) is returned
-// alongside the full frame list.
-func (r *Run) Drain(payloads [][]byte) ([]*Frame, error) {
-	go func() {
-		for _, d := range payloads {
-			r.Submit(d)
-		}
-		r.Close()
-	}()
-	frames := make([]*Frame, 0, len(payloads))
-	var firstErr error
-	for f := range r.Out() {
-		frames = append(frames, f)
-		if f.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("pipeline: frame %d failed in %s: %w", f.Seq, f.FailedAt, f.Err)
+// finish folds one frame's submit-to-delivery latency into the
+// pipeline's Total histogram and its codewords into the Sink counters:
+// a failed batched frame charges its full width, not 1.
+func (r *Run) finish(f *Frame) {
+	f.Latency = time.Since(f.submitted)
+	r.p.Total.Observe(f.Latency)
+	cw := int64(f.width())
+	sk := &r.p.Sink
+	sk.Frames.Add(1)
+	sk.Codewords.Add(cw)
+	if f.Err != nil {
+		sk.Failed.Add(1)
+		sk.FailedCodewords.Add(cw)
+	}
+}
+
+// deliverSink is the downstream end of the last stage: its worker
+// folds each frame's delivery stats and hands it to the caller as soon
+// as the stage returns.
+type deliverSink struct {
+	r       *Run
+	deliver func(*Frame)
+}
+
+func (d deliverSink) putAll(fs []*Frame) {
+	for _, f := range fs {
+		d.r.finish(f)
+		d.deliver(f)
+	}
+}
+
+// close runs once every last-stage worker has exited: the run is
+// drained.
+func (d deliverSink) close() { close(d.r.done) }
+
+// Drain runs payloads through a fresh run and returns the frames
+// indexed by Seq, which is submission order — the batch entry point.
+// Frames whose stages failed carry Err; the first such error (by Seq)
+// is returned alongside the full frame list.
+func (p *Pipeline) Drain(payloads [][]byte) ([]*Frame, error) {
+	frames := make([]*Frame, len(payloads))
+	r := p.Start(func(f *Frame) { frames[f.Seq] = f })
+	for _, d := range payloads {
+		r.Submit(d)
+	}
+	r.Close()
+	r.Wait()
+	for _, f := range frames {
+		if f.Err != nil {
+			return frames, fmt.Errorf("pipeline: frame %d failed in %s: %w", f.Seq, f.FailedAt, f.Err)
 		}
 	}
-	return frames, firstErr
+	return frames, nil
 }

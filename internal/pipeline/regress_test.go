@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"repro/internal/channel"
@@ -11,117 +10,18 @@ import (
 // The Hist bucket-boundary and quantile regressions moved to
 // internal/perf/hist_test.go with the type.
 
-// TestReorderOutOfBand exercises the sink's leftover path by injecting
-// frames directly into the run (bypassing Submit's seq assignment) with
-// a sequence gap, so none can be released in band. Regression: the
-// leftovers used to come out in nondeterministic map order, any stage
-// error was overwritten, and Latency was computed from a zero submitted
-// timestamp.
-func TestReorderOutOfBand(t *testing.T) {
-	sentinel := errors.New("stage failure to preserve")
-	pl := Must(Config{Workers: 1, Queue: 8}, Func{Label: "id", F: func(f *Frame) error {
-		return nil
-	}})
-	r := pl.Start()
-	// Seqs 5, 3, 4: seq 0 never arrives, so the in-band loop releases
-	// nothing and every frame takes the out-of-band path.
-	f5 := &Frame{Seq: 5, Data: []byte{5}}
-	f3 := &Frame{Seq: 3, Data: []byte{3}, Err: sentinel, FailedAt: "earlier-stage"}
-	f4 := &Frame{Seq: 4, Data: []byte{4}}
-	for _, f := range []*Frame{f5, f3, f4} {
-		r.in.put(f)
-	}
-	r.Close()
-
-	var got []*Frame
-	for f := range r.Out() {
-		got = append(got, f)
-	}
-	if len(got) != 3 {
-		t.Fatalf("delivered %d frames, want 3", len(got))
-	}
-	for i, want := range []uint64{3, 4, 5} {
-		if got[i].Seq != want {
-			t.Fatalf("delivery order %v, want Seq ascending [3 4 5]",
-				[]uint64{got[0].Seq, got[1].Seq, got[2].Seq})
-		}
-	}
-	if !errors.Is(got[0].Err, sentinel) {
-		t.Errorf("pre-existing error overwritten: %v", got[0].Err)
-	}
-	if got[0].FailedAt != "earlier-stage" {
-		t.Errorf("FailedAt overwritten: %q", got[0].FailedAt)
-	}
-	for _, f := range got[1:] {
-		if f.Err == nil {
-			t.Errorf("frame %d missing out-of-band error", f.Seq)
-		}
-	}
-	// None of these frames went through Submit: Latency must not be
-	// computed from the zero timestamp (which would be ~25 years).
-	for _, f := range got {
-		if f.Latency != 0 {
-			t.Errorf("frame %d Latency = %v from zero submitted time, want 0", f.Seq, f.Latency)
-		}
-	}
-}
-
-// TestReorderOutOfBandBatchedCounts: the leftover path must account
-// batched frames per codeword. Regression guard for the sharded sink: a
-// width-4 frame delivered out of band (or carrying a stage error)
-// charges 4 failed codewords to Pipeline.Sink, not 1.
-func TestReorderOutOfBandBatchedCounts(t *testing.T) {
-	pl := Must(Config{Workers: 1, Queue: 8}, Func{Label: "id", F: func(f *Frame) error {
-		return nil
-	}})
-	r := pl.Start()
-	// Both frames are batched (Width 4 and 3) and stranded behind the
-	// missing seq 0, so both take the out-of-band path.
-	r.in.put(&Frame{Seq: 2, Width: 4, Data: []byte{2}})
-	r.in.put(&Frame{Seq: 3, Width: 3, Data: []byte{3}, Err: errors.New("stage failed"), FailedAt: "enc"})
-	r.Close()
-	var n int
-	for f := range r.Out() {
-		if f.Err == nil {
-			t.Fatalf("frame %d delivered clean, want out-of-band or stage error", f.Seq)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("delivered %d frames, want 2", n)
-	}
-	sink := &pl.Sink
-	if got := sink.Frames.Load(); got != 2 {
-		t.Errorf("Sink.Frames = %d, want 2", got)
-	}
-	if got := sink.Codewords.Load(); got != 7 {
-		t.Errorf("Sink.Codewords = %d, want 7", got)
-	}
-	if got := sink.Failed.Load(); got != 2 {
-		t.Errorf("Sink.Failed = %d, want 2", got)
-	}
-	if got := sink.FailedCodewords.Load(); got != 7 {
-		t.Errorf("Sink.FailedCodewords = %d, want 7 (full width per failed frame)", got)
-	}
-}
-
 // TestSubmitTaggedEpoch: the epoch tag must ride the frame through the
 // pipeline unchanged, and plain Submit means epoch 0.
 func TestSubmitTaggedEpoch(t *testing.T) {
-	pl := Must(Config{Workers: 2, Queue: 4}, Func{Label: "id", F: func(f *Frame) error { return nil }})
-	r := pl.Start()
-	go func() {
-		r.SubmitTagged([]byte{0}, 7)
-		r.Submit([]byte{1})
-		r.SubmitTagged([]byte{2}, 9)
-		r.Close()
-	}()
-	var epochs []int
-	for f := range r.Out() {
-		epochs = append(epochs, f.Epoch)
-	}
-	if len(epochs) != 3 || epochs[0] != 7 || epochs[1] != 0 || epochs[2] != 9 {
-		t.Fatalf("epochs %v, want [7 0 9]", epochs)
+	epochs := make([]int, 3)
+	r := Must(Config{Workers: 2, Queue: 4}, idStage()).Start(func(f *Frame) { epochs[f.Seq] = f.Epoch })
+	r.SubmitTagged([]byte{0}, 7)
+	r.Submit([]byte{1})
+	r.SubmitTagged([]byte{2}, 9)
+	r.Close()
+	r.Wait()
+	if epochs[0] != 7 || epochs[1] != 0 || epochs[2] != 9 {
+		t.Fatalf("epochs by Seq %v, want [7 0 9]", epochs)
 	}
 }
 
@@ -142,9 +42,7 @@ func TestCorruptTVWorkerIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := Must(Config{Workers: workers, Queue: 32}, stage)
-		r := pl.Start()
-		payloads := randPayloads(t, 32, 64, 5)
-		frames, err := r.Drain(payloads)
+		frames, err := pl.Drain(randPayloads(t, 32, 64, 5))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,7 @@ import "sync"
 const stageRun = 8
 
 // frameSink is the downstream end of a stage's handoff: the next stage's
-// input ring, the ordered sink's ring, or a StartFunc run's deliver
-// sink.
+// input ring, or the run's deliver sink after the last stage.
 type frameSink interface {
 	// putAll enqueues every frame, blocking on backpressure.
 	putAll(fs []*Frame)

@@ -24,22 +24,8 @@ import (
 	"repro/internal/bch"
 	"repro/internal/channel"
 	"repro/internal/gf"
-	"repro/internal/kernels"
-	"repro/internal/perf"
 	"repro/internal/rs"
 )
-
-func bytesToElems(b []byte) []gf.Elem {
-	out := make([]gf.Elem, len(b))
-	bytesToElemsInto(out, b)
-	return out
-}
-
-func elemsToBytes(e []gf.Elem) []byte {
-	out := make([]byte, len(e))
-	elemsToBytesInto(out, e)
-	return out
-}
 
 func bytesToElemsInto(dst []gf.Elem, b []byte) {
 	for i, v := range b {
@@ -188,68 +174,6 @@ func (s *RSFrameDecode) Process(f *Frame) error {
 	}
 	f.Width = w * s.IV.Depth
 	f.setPooled(pb)
-	return nil
-}
-
-// MeteredRSDecode is RSFrameDecode at depth 1 through the metered
-// kernel datapath of
-// internal/kernels: the same syndrome/BMA/Chien/Forney pipeline, but
-// each frame also charges its operation counts to Frame.Counts under the
-// chosen machine model, so stage stats accumulate the cycle accounting
-// of the paper's Section 3.3.1 methodology across the whole run.
-type MeteredRSDecode struct {
-	Code *rs.Code
-	Mach kernels.Machine
-}
-
-// NewMeteredRSDecode wraps the metered decoder kernels as a stage.
-func NewMeteredRSDecode(c *rs.Code, mach kernels.Machine) (*MeteredRSDecode, error) {
-	if err := requireByteField(c.F, "MeteredRSDecode"); err != nil {
-		return nil, err
-	}
-	return &MeteredRSDecode{Code: c, Mach: mach}, nil
-}
-
-// Name implements Stage.
-func (s *MeteredRSDecode) Name() string {
-	return fmt.Sprintf("rs-decode-metered(%d,%d)", s.Code.N, s.Code.K)
-}
-
-// Process implements Stage.
-func (s *MeteredRSDecode) Process(f *Frame) error {
-	c := s.Code
-	recv := bytesToElems(f.Data)
-	if len(recv) != c.N {
-		return fmt.Errorf("pipeline: received length %d, want %d", len(recv), c.N)
-	}
-	var m perf.Meter
-	defer func() { f.Counts.Add(m.Counts) }()
-	synd := kernels.SyndromesRS(c, recv, s.Mach, &m)
-	if rs.AllZero(synd) {
-		f.Data = f.Data[:c.K]
-		return nil
-	}
-	lambda := kernels.BerlekampMassey(c.F, synd, s.Mach, &m)
-	if lambda.Degree() > c.T {
-		return fmt.Errorf("pipeline: locator degree %d exceeds t=%d (uncorrectable)", lambda.Degree(), c.T)
-	}
-	positions := kernels.ChienSearch(c.F, lambda, c.N, s.Mach, &m)
-	if len(positions) != lambda.Degree() {
-		return fmt.Errorf("pipeline: Chien found %d roots for degree-%d locator (uncorrectable)",
-			len(positions), lambda.Degree())
-	}
-	vals, err := kernels.Forney(c, synd, lambda, positions, s.Mach, &m)
-	if err != nil {
-		return err
-	}
-	for i, p := range positions {
-		recv[p] ^= vals[i]
-	}
-	if !rs.AllZero(c.Syndromes(recv)) {
-		return fmt.Errorf("pipeline: correction verification failed (uncorrectable word)")
-	}
-	f.Corrected += len(positions)
-	f.Data = elemsToBytes(recv[:c.K])
 	return nil
 }
 

@@ -33,39 +33,7 @@ type StageStats struct {
 	// worker of this stage took it: from submission (first stage) or the
 	// previous stage's return, including any blocked downstream put.
 	QueueWait Hist
-
-	// counts accumulates perf.Counts cycle accounting reported by metered
-	// stages (each field atomically).
-	counts countsAccum
 }
-
-// countsAccum is perf.Counts with every field updated atomically.
-type countsAccum struct {
-	ld, st, alu, mul, br, brnt, gfop, gf32 atomic.Int64
-}
-
-func (a *countsAccum) add(c perf.Counts) {
-	a.ld.Add(c.LD)
-	a.st.Add(c.ST)
-	a.alu.Add(c.ALU)
-	a.mul.Add(c.Mul)
-	a.br.Add(c.Branch)
-	a.brnt.Add(c.BranchNT)
-	a.gfop.Add(c.GFOp)
-	a.gf32.Add(c.GF32)
-}
-
-func (a *countsAccum) snapshot() perf.Counts {
-	return perf.Counts{
-		LD: a.ld.Load(), ST: a.st.Load(), ALU: a.alu.Load(), Mul: a.mul.Load(),
-		Branch: a.br.Load(), BranchNT: a.brnt.Load(),
-		GFOp: a.gfop.Load(), GF32: a.gf32.Load(),
-	}
-}
-
-// Counts returns the accumulated cycle accounting from metered stages
-// (zero unless a metered stage ran).
-func (s *StageStats) Counts() perf.Counts { return s.counts.snapshot() }
 
 // SinkStats counts what left the pipeline, folded at delivery.
 // Frames are engine frames (one per Submit); Codewords unpacks batching

@@ -156,7 +156,6 @@ func TestAdminEndpoints(t *testing.T) {
 		"gfp_server_responses_total 8",
 		`gfp_server_info{code="RS(255,239)",depth="1"} 1`,
 		`gfp_pipeline_stage_frames_total{stage="codec-dispatch"} 8`,
-		`gfp_model_ops_total{class="gf_op",stage="codec-dispatch"}`,
 		`gfp_gf_kernel_calls_total{tier="table"}`,
 		`gfp_pipeline_stage_queue_wait_seconds_count{stage="codec-dispatch"} 8`,
 	} {

@@ -69,6 +69,70 @@ func FuzzServeConn(f *testing.F) {
 	})
 }
 
+// FuzzReadRequest feeds arbitrary bytes to the frame reader under an
+// arbitrary payload guard (up to DefaultMaxPayload, which bounds what
+// one input can make it allocate). ReadRequest must never panic and may
+// fail only with a *ProtoError, io.EOF or io.ErrUnexpectedEOF. A frame
+// it accepts must respect MaxParams and the guard, and WriteResponse
+// must re-encode exactly the bytes it consumed. trace.Extract on the
+// params must never panic; when it finds a context, the rest is the
+// params without their last ExtSize bytes, the trace id is nonzero, and
+// extracting from the context re-appended to the rest gives it back.
+func FuzzReadRequest(f *testing.F) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := serveConnSeeds(f, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range seeds {
+		f.Add(seed, uint32(DefaultMaxPayload))
+	}
+	f.Add(seeds[1], uint32(0)) // a payload over the guard
+	f.Fuzz(func(t *testing.T, in []byte, guard uint32) {
+		maxPayload := int(guard % (DefaultMaxPayload + 1))
+		r := bytes.NewReader(in)
+		m, err := ReadRequest(r, maxPayload)
+		if err != nil {
+			if _, ok := err.(*ProtoError); !ok && err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatalf("ReadRequest failed with %T %v, want *ProtoError, io.EOF or io.ErrUnexpectedEOF", err, err)
+			}
+			return
+		}
+		if len(m.Params) > MaxParams || len(m.Payload) > maxPayload {
+			t.Fatalf("accepted params %dB (max %d), payload %dB (guard %d)",
+				len(m.Params), MaxParams, len(m.Payload), maxPayload)
+		}
+		var out bytes.Buffer
+		if err := WriteResponse(&out, m); err != nil {
+			t.Fatalf("re-encoding an accepted frame: %v", err)
+		}
+		if consumed := in[:len(in)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-encoded %x, consumed %x", out.Bytes(), consumed)
+		}
+
+		tc, rest, ok := trace.Extract(m.Params)
+		if !ok {
+			return
+		}
+		if !bytes.Equal(rest, m.Params[:len(m.Params)-trace.ExtSize]) {
+			t.Fatalf("Extract rest %x, want params %x without the last %d bytes", rest, m.Params, trace.ExtSize)
+		}
+		if tc.Trace == 0 {
+			t.Fatal("Extract accepted a zero trace id")
+		}
+		// Clip rest so the re-append cannot write into m.Params.
+		tc2, rest2, ok := trace.Extract(tc.Append(rest[:len(rest):len(rest)]))
+		if !ok || tc2 != tc || !bytes.Equal(rest2, rest) {
+			t.Fatalf("Extract(Append) = %+v %x %v, want %+v %x", tc2, rest2, ok, tc, rest)
+		}
+	})
+}
+
 // serveConnSeeds is the seed corpus: one valid frame per op, a traced
 // frame with a good and one with a bad trace extension, more requests
 // than the window in one burst, a bad magic, a truncated header and an

@@ -213,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 		aes:   cipher.BlockStrategy(),
 		spans: trace.NewRing(cfg.TraceRing),
 	}
-	s.run = pl.StartFunc(s.deliver)
+	s.run = pl.Start(s.deliver)
 	s.Front = NewFront("server", cfg, s.open, s.run.Close)
 	return s, nil
 }
@@ -263,7 +263,11 @@ func (s *Server) open(c *Conn) Handler {
 }
 
 // handle validates one framed request and submits it to the pipeline,
-// or answers it from the read loop (stats, rejections).
+// or answers it from the read loop (stats, rejections). A request whose
+// reply would not fit the payload guard — a seal within 16 bytes of it,
+// an rs-encode expanding past it — is rejected as too large: a client
+// or proxy reading under the same guard would take the oversized reply
+// for a framing error and drop the whole connection.
 func (s *Server) handle(c *Conn, m *Message, readAt time.Time) {
 	// A traced request ends its params with a trace-context extension;
 	// strip it before op-param validation so op handlers see exactly
@@ -297,6 +301,10 @@ func (s *Server) handle(c *Conn, m *Message, readAt time.Time) {
 				len(m.Payload), why, iv.FrameK())
 			return
 		}
+		if n := len(m.Payload) / iv.FrameK() * iv.FrameN(); n > s.cfg.MaxPayload {
+			reject(StatusTooLarge, "rs-encode reply %dB exceeds the %dB payload guard", n, s.cfg.MaxPayload)
+			return
+		}
 		s.submit(c, m, m.Payload, tc, readAt)
 	case OpRSDecode:
 		if why := s.badRSLen(len(m.Payload), iv.FrameN()); why != "" {
@@ -314,6 +322,11 @@ func (s *Server) handle(c *Conn, m *Message, readAt time.Time) {
 		if m.Op == OpOpen && len(m.Payload) < aes.BlockSize {
 			reject(StatusCodecFailed, "aes-gcm-open payload %dB shorter than the tag",
 				len(m.Payload))
+			return
+		}
+		if m.Op == OpSeal && len(m.Payload) > s.cfg.MaxPayload-aes.BlockSize {
+			reject(StatusTooLarge, "aes-gcm-seal payload %dB: reply with its %dB tag exceeds the %dB payload guard",
+				len(m.Payload), aes.BlockSize, s.cfg.MaxPayload)
 			return
 		}
 		// The frame carries nonce‖body; the dispatch stage splits them.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aes"
 	"repro/internal/channel"
 	"repro/internal/gf"
 )
@@ -198,6 +199,43 @@ func TestBatchedRequests(t *testing.T) {
 	}
 	if snap.Server.Rejects != 2 {
 		t.Errorf("rejects = %d, want 2", snap.Server.Rejects)
+	}
+}
+
+// TestRepliesFitPayloadGuard: a request whose reply would exceed the
+// payload guard is rejected as too large, and its connection carries on.
+// A seal at the default guard would come back 16 bytes over the guard
+// the client reads under, which used to drop the connection as a
+// framing error; 16 bytes less is served. With MaxPayload 4096 and
+// Batch 32, a 17-frame rs-encode (reply 4335 B) is rejected and a
+// 16-frame one (reply 4080 B) served.
+func TestRepliesFitPayloadGuard(t *testing.T) {
+	tooLarge := func(what string, err error) {
+		t.Helper()
+		var se *StatusError
+		if !errors.As(err, &se) || se.Status != StatusTooLarge {
+			t.Fatalf("%s: %v, want a %v rejection", what, err, StatusTooLarge)
+		}
+	}
+
+	_, addr := startServer(t, Config{Workers: 1})
+	c := dialT(t, addr)
+	nonce := make([]byte, NonceSize)
+	_, err := c.Seal(nonce, make([]byte, DefaultMaxPayload))
+	tooLarge("seal at the guard", err)
+	out, err := c.Seal(nonce, make([]byte, DefaultMaxPayload-aes.BlockSize))
+	if err != nil || len(out) != DefaultMaxPayload {
+		t.Fatalf("seal 16 bytes under the guard on the same connection: %dB, %v; want %dB", len(out), err, DefaultMaxPayload)
+	}
+
+	s, addr := startServer(t, Config{Workers: 1, MaxPayload: 4096, Batch: 32})
+	c = dialT(t, addr)
+	k, n := s.Code().FrameK(), s.Code().FrameN()
+	_, err = c.RSEncode(make([]byte, 17*k))
+	tooLarge("17-frame rs-encode", err)
+	out, err = c.RSEncode(make([]byte, 16*k))
+	if err != nil || len(out) != 16*n {
+		t.Fatalf("16-frame rs-encode: %dB, %v; want %dB", len(out), err, 16*n)
 	}
 }
 
