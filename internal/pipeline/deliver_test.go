@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +67,48 @@ func TestStartCompletionOrder(t *testing.T) {
 	}
 	if got := p.Total.Count(); got != frames {
 		t.Errorf("Total samples = %d, want %d", got, frames)
+	}
+}
+
+// TestSubmitDeliverFuncZeroAlloc is TestSubmitDeliverZeroAlloc for a
+// deliver func that only hands the frame on, as gfserved's does: another
+// goroutine checks and frees it, and four frames are in flight at once,
+// so the encode stage can take several per dequeue while the last stage
+// takes one. Once the pools are warm a window of four frames allocates
+// nothing.
+func TestSubmitDeliverFuncZeroAlloc(t *testing.T) {
+	const window = 4
+	c := rs.Must(gf.MustDefault(8), 255, 223)
+	e, d := rsStages(t, c, 1)
+	delivered := make(chan *Frame, window)
+	r := Must(Config{Workers: 1, Queue: window}, e, d).Start(func(f *Frame) { delivered <- f })
+	payload := make([]byte, c.K)
+	rand.New(rand.NewSource(7)).Read(payload)
+	run := func() {
+		for i := 0; i < window; i++ {
+			r.Submit(payload)
+		}
+		for i := 0; i < window; i++ {
+			f := <-delivered
+			ok := f.Err == nil && bytes.Equal(f.Data, payload)
+			f.Free()
+			if !ok {
+				t.Fatal("frame failed or came back altered")
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run() // warm frame pool, payload pool and codec scratch
+	}
+	if raceEnabled {
+		r.Close()
+		t.Skip("alloc counting is unreliable under -race (pool randomization)")
+	}
+	avg := testing.AllocsPerRun(200, run)
+	r.Close()
+	r.Wait()
+	if avg >= 0.5 {
+		t.Fatalf("steady-state submit->deliver allocates %.2f times per window of %d frames, want 0", avg, window)
 	}
 }
 
